@@ -25,6 +25,7 @@ from .errors import (
     FlatAffinityError,
     InsufficientSampleError,
     IntegrationError,
+    NonFiniteEstimateError,
     UndefinedAUCError,
 )
 from .estimators import (
@@ -71,6 +72,7 @@ __all__ = [
     "Group",
     "InsufficientSampleError",
     "IntegrationError",
+    "NonFiniteEstimateError",
     "UndefinedAUCError",
     "alpha_integral",
     "anomaly_scores",

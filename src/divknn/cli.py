@@ -7,9 +7,9 @@ synth (generate the synthetic families), verify (oracle self-checks).
 
 Exit codes: 0 success, 1 validation problem (bad flags, malformed or
 missing files, impossible configuration), 2 computational problem
-(degenerate data, failed integration, undefined metrics). Every
-subcommand is deterministic given its flags and --seed: rerunning
-writes byte-identical output files.
+(degenerate data, non-finite estimates, failed integration, undefined
+metrics). Every subcommand is deterministic given its flags and --seed:
+rerunning writes byte-identical output files.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .errors import (
     FlatAffinityError,
     InsufficientSampleError,
     IntegrationError,
+    NonFiniteEstimateError,
     UndefinedAUCError,
 )
 
@@ -51,6 +52,7 @@ _COMPUTATIONAL_ERRORS = (
     FlatAffinityError,
     UndefinedAUCError,
     IntegrationError,
+    NonFiniteEstimateError,
     np.linalg.LinAlgError,
     ArithmeticError,
 )

@@ -24,6 +24,12 @@ class DegenerateDistanceError(DivknnError):
     duplicate points. Deduplicate the offending group (CLI: --dedup)."""
 
 
+class NonFiniteEstimateError(DivknnError):
+    """A divergence estimate came out infinite or NaN, typically because
+    neighbor distances raised to the power d overflow or underflow
+    float64. It is raised rather than clamped to a plausible value."""
+
+
 class ContractError(DivknnError):
     """A caller broke an interface contract (asymmetric matrix where a
     symmetric one is required, mismatched lengths, missing labels)."""

@@ -22,7 +22,13 @@ import numpy as np
 from scipy.special import poch
 
 from . import knn
-from .errors import ConfigError, ContractError, DegenerateDistanceError, InsufficientSampleError
+from .errors import (
+    ConfigError,
+    ContractError,
+    DegenerateDistanceError,
+    InsufficientSampleError,
+    NonFiniteEstimateError,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dataset import Dataset
@@ -164,12 +170,24 @@ def _alpha_terms(rho, nu, n, m, d, alpha):
     return np.exp(oma * log_ratio)
 
 
+def _integral_estimate(rho, nu, n, m, d, alpha, b) -> float:
+    est = float(_alpha_terms(rho, nu, n, m, d, alpha).mean() * b)
+    # A zero, infinite or NaN integral has no finite log.
+    if not 0.0 < est < math.inf:
+        raise NonFiniteEstimateError(
+            f"Renyi integral estimate is {est!r}, so the divergence is not finite "
+            f"(the neighbor-distance ratios raised to the power d={d} leave float64 range)"
+        )
+    return est
+
+
 def alpha_integral(x, y, k: int, alpha: float, *, workers: int = 1) -> float:
     """Estimate the integral of p^alpha q^(1-alpha) from samples x ~ p, y ~ q.
 
     This is the quantity inside the Renyi divergence before the log
     transform; it equals 1 when p = q. Requires alpha != 1 and
-    k > |alpha - 1|. Always strictly positive.
+    k > |alpha - 1|. Always strictly positive and finite; an estimate
+    that is not raises NonFiniteEstimateError.
     """
     if alpha == 1.0:
         raise ConfigError("alpha must differ from 1")
@@ -178,8 +196,7 @@ def alpha_integral(x, y, k: int, alpha: float, *, workers: int = 1) -> float:
     n, m = xa.shape[0], ya.shape[0]
     _check_pair_sizes(n, m, k)
     rho, nu = _pair_distances(xa, ya, k, workers)
-    terms = _alpha_terms(rho, nu, n, m, xa.shape[1], alpha)
-    return float(terms.mean() * b)
+    return _integral_estimate(rho, nu, n, m, xa.shape[1], alpha, b)
 
 
 def renyi_divergence(x, y, k: int, alpha: float, *, workers: int = 1) -> float:
@@ -206,6 +223,16 @@ def _l2_terms(rho, nu, n, m, d, k, cross_volume: bool = True):
     return (k - 1) / u - 2.0 * (k - 1) / v + u * ((k - 2) * (k - 1) / k) / v ** 2
 
 
+def _l2_squared_estimate(rho, nu, n, m, d, k, cross_volume: bool = True) -> float:
+    est = float(_l2_terms(rho, nu, n, m, d, k, cross_volume).mean())
+    if not math.isfinite(est):
+        raise NonFiniteEstimateError(
+            f"L2 squared estimate is {est!r} "
+            f"(the neighbor distances raised to the power d={d} leave float64 range)"
+        )
+    return est
+
+
 def _check_l2_k(k: int) -> None:
     if k < 3:
         raise ConfigError(f"l2 estimator requires k >= 3 (k - 2 > 0), got k={k}")
@@ -216,15 +243,15 @@ def l2_squared(x, y, k: int, *, workers: int = 1) -> float:
 
     The estimate targets the integral of (p - q)^2 and may be negative
     (it is an unbiased-style estimate of a nonnegative quantity); it is
-    returned unclamped for diagnostic value. Requires k >= 3.
+    returned unclamped for diagnostic value. Requires k >= 3. An estimate
+    that is not finite raises NonFiniteEstimateError.
     """
     _check_l2_k(k)
     xa, ya = _validated_pair(x, y)
     n, m = xa.shape[0], ya.shape[0]
     _check_pair_sizes(n, m, k)
     rho, nu = _pair_distances(xa, ya, k, workers)
-    terms = _l2_terms(rho, nu, n, m, xa.shape[1], k)
-    return float(terms.mean())
+    return _l2_squared_estimate(rho, nu, n, m, xa.shape[1], k)
 
 
 def _l2_squared_unnormalized_cross(x, y, k: int, *, workers: int = 1) -> float:
@@ -238,8 +265,7 @@ def _l2_squared_unnormalized_cross(x, y, k: int, *, workers: int = 1) -> float:
     n, m = xa.shape[0], ya.shape[0]
     _check_pair_sizes(n, m, k)
     rho, nu = _pair_distances(xa, ya, k, workers)
-    terms = _l2_terms(rho, nu, n, m, xa.shape[1], k, cross_volume=False)
-    return float(terms.mean())
+    return _l2_squared_estimate(rho, nu, n, m, xa.shape[1], k, cross_volume=False)
 
 
 def l2_divergence(x, y, k: int, *, workers: int = 1) -> float:
@@ -255,11 +281,13 @@ def symmetrize(a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 # Pairwise matrices.
 
-def _directed_value(rho, nu, n, m, d, cfg: EstimatorConfig, b: float) -> float:
-    if cfg.kind == RENYI:
-        est = float(_alpha_terms(rho, nu, n, m, d, cfg.alpha).mean() * b)
-        return math.log(est) / (cfg.alpha - 1.0)
-    return math.sqrt(max(0.0, float(_l2_terms(rho, nu, n, m, d, cfg.k).mean())))
+def _directed_value(rho, nu, n, m, d, cfg: EstimatorConfig, b: float, ids) -> float:
+    try:
+        if cfg.kind == RENYI:
+            return math.log(_integral_estimate(rho, nu, n, m, d, cfg.alpha, b)) / (cfg.alpha - 1.0)
+        return math.sqrt(max(0.0, _l2_squared_estimate(rho, nu, n, m, d, cfg.k)))
+    except NonFiniteEstimateError as exc:
+        raise NonFiniteEstimateError(f"from group '{ids[0]}' to '{ids[1]}': {exc}") from None
 
 
 def _group_indices_and_rho(groups, k: int, workers: int):
@@ -312,7 +340,7 @@ def divergence_matrix(ds: "Dataset", cfg: EstimatorConfig, *, workers: int = 1) 
                 continue
             nu = _cross_nu(groups[i], indices[j], groups[j].id, cfg.k, workers)
             directed[i, j] = _directed_value(
-                rhos[i], nu, n, indices[j].size, d, cfg, b
+                rhos[i], nu, n, indices[j].size, d, cfg, b, (groups[i].id, groups[j].id)
             )
     values = (directed + directed.T) / 2.0 if cfg.symmetrize else directed
     return DivergenceMatrix(tuple(g.id for g in groups), values, cfg)
@@ -340,11 +368,14 @@ def cross_divergence_matrix(ds_from: "Dataset", ds_to: "Dataset",
         n = gi.points.shape[0]
         for j, gj in enumerate(ds_to.groups):
             nu = _cross_nu(gi, to_indices[j], gj.id, cfg.k, workers)
-            value = _directed_value(from_rhos[i], nu, n, to_indices[j].size, d, cfg, b)
+            value = _directed_value(
+                from_rhos[i], nu, n, to_indices[j].size, d, cfg, b, (gi.id, gj.id)
+            )
             if cfg.symmetrize:
                 nu_back = _cross_nu(gj, from_indices[i], gi.id, cfg.k, workers)
                 back = _directed_value(
-                    to_rhos[j], nu_back, gj.points.shape[0], from_indices[i].size, d, cfg, b
+                    to_rhos[j], nu_back, gj.points.shape[0], from_indices[i].size, d, cfg, b,
+                    (gj.id, gi.id),
                 )
                 value = symmetrize(value, back)
             out[i, j] = value

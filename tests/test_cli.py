@@ -209,6 +209,22 @@ def test_degenerate_duplicates_exit_2_and_dedup_rescues(tmp_path):
                "--out", str(out)) == 0
 
 
+def test_non_finite_l2_estimate_exits_2(tmp_path):
+    # d = 80, sigma = 1e3: rho**d overflows, so the L2 estimate is NaN
+    rng = np.random.Generator(np.random.Philox(80))
+    x = rng.normal(0.0, 1e3, size=(300, 80))
+    y = rng.normal(0.0, 1e3, size=(300, 80))
+    y[:, 0] += 5e3
+    data = tmp_path / "far"
+    dsm.save_dataset(dsm.Dataset((dsm.Group("x", x), dsm.Group("y", y))), data)
+    out = tmp_path / "w.csv"
+    with np.errstate(all="ignore"):
+        code = run("estimate", "--input", str(data), "--estimator", "l2",
+                   "--k", "5", "--out", str(out))
+    assert code == 2
+    assert not out.exists()
+
+
 def test_flat_matrix_cluster_exits_2(tmp_path):
     n = 9
     ids = [f"g{i}" for i in range(n)]

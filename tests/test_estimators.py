@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 from divknn import estimators as est
 from divknn.dataset import Dataset, Group
-from divknn.errors import ConfigError, ContractError, DegenerateDistanceError
+from divknn.errors import (
+    ConfigError,
+    ContractError,
+    DegenerateDistanceError,
+    NonFiniteEstimateError,
+)
 
 # Hand evaluation of the k=1, alpha=0.5 estimator on x = {0, 2}, y = {1}:
 # both terms equal sqrt(2), the correction factor is 2/pi, so the
@@ -181,6 +186,42 @@ def test_duplicate_points_cross_sample_raise():
     y = [[1.0], [1.0]]
     with pytest.raises(DegenerateDistanceError):
         est.alpha_integral(x, y, 1, 0.5)
+
+
+def _far_groups_d80(x_scale=1e3, y_scale=1e3, shift=5e3):
+    # two 300-point Gaussian groups in d = 80 with means `shift` apart
+    rng = _rng(80)
+    x = rng.normal(0.0, x_scale, size=(300, 80))
+    y = rng.normal(0.0, y_scale, size=(300, 80))
+    y[:, 0] += shift
+    return x, y
+
+
+def test_l2_overflow_raises_not_zero():
+    # rho**80 overflows float64 at this scale, so the squared estimate is
+    # NaN; it must raise instead of clamping to a divergence of 0
+    x, y = _far_groups_d80()
+    with pytest.raises(NonFiniteEstimateError), np.errstate(all="ignore"):
+        est.l2_squared(x, y, 5)
+    with pytest.raises(NonFiniteEstimateError), np.errstate(all="ignore"):
+        est.l2_divergence(x, y, 5)
+    ds = Dataset((Group("x", x), Group("y", y)))
+    with pytest.raises(NonFiniteEstimateError, match="from group 'x' to 'y'"), \
+            np.errstate(all="ignore"):
+        est.divergence_matrix(ds, est.EstimatorConfig("l2", k=5))
+
+
+def test_renyi_underflow_raises():
+    # x is a tight cluster far from y: every term of the power integral
+    # underflows to 0, whose log is not finite
+    x, y = _far_groups_d80(x_scale=1e-6, y_scale=1.0, shift=1e6)
+    with pytest.raises(NonFiniteEstimateError):
+        est.alpha_integral(x, y, 5, 0.5)
+    with pytest.raises(NonFiniteEstimateError):
+        est.renyi_divergence(x, y, 5, 0.5)
+    ds = Dataset((Group("x", x), Group("y", y)))
+    with pytest.raises(NonFiniteEstimateError, match="from group 'x' to 'y'"):
+        est.cross_divergence_matrix(ds, ds, est.EstimatorConfig("renyi", 0.5, 5))
 
 
 def test_dimension_mismatch():

@@ -1,6 +1,7 @@
-"""Neighbor-distance queries: tree vs brute force, edge semantics, volumes."""
+"""Neighbor-distance queries: each route vs brute force, edge semantics, volumes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divknn import knn
-from divknn.errors import DegenerateDistanceError, InsufficientSampleError
+from divknn.errors import DegenerateDistanceError, DivknnError, InsufficientSampleError
 
 
 def _rng(seed):
@@ -119,6 +120,72 @@ def test_tree_matches_brute_cross(seed, n, m, d):
     tree = knn.kth_nn_cross(queries, idx, k)
     brute = knn.brute_kth_nn_cross(queries, pts, k)
     assert np.array_equal(tree, brute)
+
+
+def _outcome(query):
+    """The query's distances, or the type and message of the error it raised."""
+    try:
+        return query()
+    except DivknnError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+    else:
+        assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 6),
+    extra=st.integers(0, 2**16),
+    n=st.integers(1, 30),
+    decimals=st.integers(0, 3),
+    scale_exp=st.floats(-6.0, 6.0),
+    coincide=st.booleans(),
+)
+def test_sorted_window_matches_brute(seed, k, extra, n, decimals, scale_exp, coincide):
+    # m runs from k to 3(k+1), so windows clipped to the whole sample
+    # (m < 2kq), exactly filling it (m = 2kq) and interior ones all occur;
+    # rounding makes ties and duplicates
+    m = k + extra % (2 * k + 4)
+    rng = _rng(seed)
+    scale = 10.0 ** scale_exp
+    pts = np.round(rng.normal(size=(m, 1)) * 3.0, decimals) * scale
+    queries = np.round(rng.normal(size=(n, 1)) * 3.0, decimals) * scale
+    if coincide:
+        queries[::2] = pts[rng.integers(0, m, size=len(queries[::2]))]
+    idx = knn.build_index(pts)
+    assert isinstance(idx.tree, np.ndarray)  # the sorted-window route
+    kq = min(k + 1, m)
+    assert np.array_equal(idx._sorted_distances(queries, kq, 1),
+                          knn._brute_sorted_distances(queries, pts, kq))
+    _assert_same_outcome(_outcome(lambda: knn.kth_nn_cross(queries, idx, k)),
+                         _outcome(lambda: knn.brute_kth_nn_cross(queries, pts, k)))
+    _assert_same_outcome(_outcome(lambda: knn.kth_nn_within(idx, k)),
+                         _outcome(lambda: knn.brute_kth_nn_within(pts, k)))
+
+
+def test_brute_memory_stays_within_budget(monkeypatch):
+    # at the default budget these 300 x 1000 x 40 queries take three chunks
+    rng = _rng(6)
+    queries = rng.normal(size=(300, 40))
+    pts = rng.normal(size=(1000, 40))
+    want = knn.brute_kth_nn_cross(queries, pts, 5)
+    budget = 2**20
+    monkeypatch.setattr(knn, "_BRUTE_BUDGET_BYTES", budget)
+    tracemalloc.start()
+    try:
+        got = knn.brute_kth_nn_cross(queries, pts, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    # one chunk's broadcast difference is 96 MB without the budget
+    assert peak <= 4 * budget
 
 
 def test_high_dim_falls_back_to_brute():

@@ -8,6 +8,7 @@ on agreement with the quadrature oracle rather than taken on faith.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,6 +16,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConfigError, InsufficientSampleError
+from .estimators import RENYI, DivergenceMatrix, _check_same_dim, _divergence_table
 
 # Smallest covariance eigenvalue tolerated, relative to mean variance.
 RIDGE_FLOOR = 1e-9
@@ -136,12 +138,13 @@ def gaussian_l2(p: GaussianFit, q: GaussianFit) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Drop-in pairwise matrices, mirroring the sample-based estimator API.
+# Drop-in pairwise matrices, built like the sample-based ones.
 
-def _pair_value(fp: GaussianFit, fq: GaussianFit, cfg) -> float:
-    if cfg.kind == "renyi":
-        return gaussian_renyi(fp, fq, cfg.alpha)
-    return gaussian_l2(fp, fq)
+def _directed_fit(cfg):
+    """The closed-form directed divergence between two fits that cfg asks for."""
+    if cfg.kind == RENYI:
+        return functools.partial(gaussian_renyi, alpha=cfg.alpha)
+    return gaussian_l2
 
 
 def baseline_matrix(ds, cfg):
@@ -152,31 +155,14 @@ def baseline_matrix(ds, cfg):
     tell the two apart. The config's k is irrelevant here and the
     matrix carries no config.
     """
-    from .estimators import DivergenceMatrix
-
     fits = [fit_gaussian(g.points) for g in ds.groups]
-    n = len(fits)
-    values = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                values[i, j] = _pair_value(fits[i], fits[j], cfg)
-    if cfg.symmetrize:
-        values = (values + values.T) / 2.0
+    values = _divergence_table(fits, fits, _directed_fit(cfg), cfg.symmetrize, square=True)
     return DivergenceMatrix(ds.ids, values, None)
 
 
 def baseline_cross_matrix(ds_from, ds_to, cfg) -> np.ndarray:
     """Closed-form divergences from each group of ds_from to each of ds_to."""
-    if ds_from.dim != ds_to.dim:
-        raise ConfigError(f"dataset dimensions differ: {ds_from.dim} vs {ds_to.dim}")
+    _check_same_dim(ds_from, ds_to)
     from_fits = [fit_gaussian(g.points) for g in ds_from.groups]
     to_fits = [fit_gaussian(g.points) for g in ds_to.groups]
-    out = np.zeros((len(from_fits), len(to_fits)))
-    for i, fp in enumerate(from_fits):
-        for j, fq in enumerate(to_fits):
-            value = _pair_value(fp, fq, cfg)
-            if cfg.symmetrize:
-                value = (value + _pair_value(fq, fp, cfg)) / 2.0
-            out[i, j] = value
-    return out
+    return _divergence_table(from_fits, to_fits, _directed_fit(cfg), cfg.symmetrize)

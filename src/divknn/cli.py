@@ -90,23 +90,31 @@ def _add_estimator_flags(p: argparse.ArgumentParser) -> None:
                    help="drop exact duplicate points within each group")
 
 
-def _estimator_config(args) -> estimators.EstimatorConfig:
-    return estimators.EstimatorConfig(
-        kind=args.estimator, alpha=args.alpha, k=args.k,
-        symmetrize=args.symmetrize,
-    )
-
-
-def _dedup(ds: dataset.Dataset) -> dataset.Dataset:
+def _load_input(args, path) -> dataset.Dataset:
+    """The dataset at path, with exact duplicate points dropped under --dedup."""
+    ds = dataset.load_dataset(path)
+    if not args.dedup:
+        return ds
     return dataset.Dataset(tuple(
         dataset.Group(g.id, np.unique(g.points, axis=0), g.label)
         for g in ds.groups
     ))
 
 
-def _load_input(args) -> dataset.Dataset:
-    ds = dataset.load_dataset(args.input)
-    return _dedup(ds) if args.dedup else ds
+def _divergences(args, ds, reference=None):
+    """The matrix the estimator flags ask for: over the groups of ds, or
+    from each group of ds to each group of reference."""
+    cfg = estimators.EstimatorConfig(
+        kind=args.estimator, alpha=args.alpha, k=args.k,
+        symmetrize=args.symmetrize,
+    )
+    if args.baseline == "gaussian":
+        if reference is None:
+            return baselines.baseline_matrix(ds, cfg)
+        return baselines.baseline_cross_matrix(ds, reference, cfg)
+    if reference is None:
+        return estimators.divergence_matrix(ds, cfg, workers=-1)
+    return estimators.cross_divergence_matrix(ds, reference, cfg, workers=-1)
 
 
 def _write_table(path, header, rows) -> None:
@@ -192,12 +200,7 @@ def _param_colors(ids, params: dict[str, np.ndarray]) -> list[tuple[int, int, in
 # Subcommands.
 
 def _cmd_estimate(args) -> int:
-    ds = _load_input(args)
-    cfg = _estimator_config(args)
-    if args.baseline == "gaussian":
-        matrix = baselines.baseline_matrix(ds, cfg)
-    else:
-        matrix = estimators.divergence_matrix(ds, cfg, workers=-1)
+    matrix = _divergences(args, _load_input(args, args.input))
     dataset.save_matrix(matrix, args.out)
     print(f"wrote {args.out}: {len(matrix.ids)}x{len(matrix.ids)} "
           f"{args.estimator} divergence matrix")
@@ -242,14 +245,10 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    ds = _load_input(args)
+    ds = _load_input(args, args.input)
     ds = dataset.with_labels(ds, dataset.load_labels(args.labels))
     labels = ds.require_labels()
-    cfg = _estimator_config(args)
-    if args.baseline == "gaussian":
-        matrix = baselines.baseline_matrix(ds, cfg)
-    else:
-        matrix = estimators.divergence_matrix(ds, cfg, workers=-1)
+    matrix = _divergences(args, ds)
     acc, preds = tasks.cross_validate_classify(
         matrix, labels, args.kvote, args.folds, args.seed)
     _write_table(args.out, ["id", "predicted"],
@@ -260,15 +259,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_anomaly(args) -> int:
-    train = dataset.load_dataset(args.train)
-    test = dataset.load_dataset(args.test)
-    if args.dedup:
-        train, test = _dedup(train), _dedup(test)
-    cfg = _estimator_config(args)
-    if args.baseline == "gaussian":
-        w = baselines.baseline_cross_matrix(test, train, cfg)
-    else:
-        w = estimators.cross_divergence_matrix(test, train, cfg, workers=-1)
+    train = _load_input(args, args.train)
+    test = _load_input(args, args.test)
+    w = _divergences(args, test, train)
     scores = tasks.anomaly_scores(test.ids, w, args.kanom)
     _write_table(args.out, ["id", "score"],
                  [[gid, repr(float(s))] for gid, s in zip(scores.ids, scores.score)])

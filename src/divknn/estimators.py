@@ -7,6 +7,9 @@ distance to the k-th nearest point of Y. Powers of the implied inverse
 densities are averaged with gamma-ratio correction factors that make
 each term asymptotically unbiased; no density estimate is ever formed.
 
+Every matrix is a view of one directed table of estimates from row
+groups to column groups; symmetrizing averages it with its reverse.
+
 All estimation functions are pure given immutable inputs. The optional
 ``workers`` argument only parallelizes the neighbor queries and never
 changes any value.
@@ -121,24 +124,6 @@ def correction_factor(k: int, alpha: float) -> float:
     return float(1.0 / (poch(k, 1.0 - alpha) * poch(k, alpha - 1.0)))
 
 
-def _validated_pair(x, y):
-    xa = knn._as_points(x, "x")
-    ya = knn._as_points(y, "y")
-    if xa.shape[1] != ya.shape[1]:
-        raise ContractError(f"sample dimensions differ: {xa.shape[1]} vs {ya.shape[1]}")
-    return xa, ya
-
-
-def _pair_distances(x: np.ndarray, y: np.ndarray, k: int, workers: int):
-    """(rho_k, nu_k) for a sample pair, screened for zero within-distances."""
-    index_x = knn.build_index(x)
-    index_y = knn.build_index(y)
-    rho = knn.kth_nn_within(index_x, k, workers=workers)
-    _screen_rho(rho)
-    nu = knn.kth_nn_cross(x, index_y, k, workers=workers)
-    return rho, nu
-
-
 def _screen_rho(rho: np.ndarray) -> None:
     if (rho == 0.0).any():
         idx = int(np.flatnonzero(rho == 0.0)[0])
@@ -148,7 +133,16 @@ def _screen_rho(rho: np.ndarray) -> None:
         )
 
 
-def _check_pair_sizes(n: int, m: int, k: int) -> None:
+def _pair_statistics(x, y, k: int, workers: int):
+    """(rho_k, nu_k, n, m, d) for samples x (n x d) and y (m x d), validated.
+
+    rho_k is screened for zero within-sample distances.
+    """
+    xa = knn._as_points(x, "x")
+    ya = knn._as_points(y, "y")
+    if xa.shape[1] != ya.shape[1]:
+        raise ContractError(f"sample dimensions differ: {xa.shape[1]} vs {ya.shape[1]}")
+    (n, d), m = xa.shape, ya.shape[0]
     if k > n - 1:
         raise InsufficientSampleError(
             f"estimator with k={k} needs at least {k + 1} points in x, got {n}"
@@ -157,6 +151,12 @@ def _check_pair_sizes(n: int, m: int, k: int) -> None:
         raise InsufficientSampleError(
             f"estimator with k={k} needs at least {k} points in y, got {m}"
         )
+    index_x = knn.build_index(xa)
+    index_y = knn.build_index(ya)
+    rho = knn.kth_nn_within(index_x, k, workers=workers)
+    _screen_rho(rho)
+    nu = knn.kth_nn_cross(xa, index_y, k, workers=workers)
+    return rho, nu, n, m, d
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +192,8 @@ def alpha_integral(x, y, k: int, alpha: float, *, workers: int = 1) -> float:
     if alpha == 1.0:
         raise ConfigError("alpha must differ from 1")
     b = correction_factor(k, alpha)  # validates k > |alpha - 1|
-    xa, ya = _validated_pair(x, y)
-    n, m = xa.shape[0], ya.shape[0]
-    _check_pair_sizes(n, m, k)
-    rho, nu = _pair_distances(xa, ya, k, workers)
-    return _integral_estimate(rho, nu, n, m, xa.shape[1], alpha, b)
+    rho, nu, n, m, d = _pair_statistics(x, y, k, workers)
+    return _integral_estimate(rho, nu, n, m, d, alpha, b)
 
 
 def renyi_divergence(x, y, k: int, alpha: float, *, workers: int = 1) -> float:
@@ -212,30 +209,25 @@ def renyi_divergence(x, y, k: int, alpha: float, *, workers: int = 1) -> float:
 # ---------------------------------------------------------------------------
 # L2 family.
 
-def _l2_terms(rho, nu, n, m, d, k, cross_volume: bool = True):
+def _l2_terms(rho, nu, n, m, d, k):
     # Bias-corrected plug-ins for the integrals of p^2, p q, and q^2,
     # assembled from the inverse-density statistics
     #   u = (n-1) c rho^d   (within sample),  v = m c nu^d  (cross sample),
     # each asymptotically Erlang with rate p(x) resp. q(x).
     c = knn.unit_ball_volume(d)
     u = (n - 1) * c * rho ** d
-    v = m * (c if cross_volume else 1.0) * nu ** d
+    v = m * c * nu ** d
     return (k - 1) / u - 2.0 * (k - 1) / v + u * ((k - 2) * (k - 1) / k) / v ** 2
 
 
-def _l2_squared_estimate(rho, nu, n, m, d, k, cross_volume: bool = True) -> float:
-    est = float(_l2_terms(rho, nu, n, m, d, k, cross_volume).mean())
+def _l2_squared_estimate(rho, nu, n, m, d, k) -> float:
+    est = float(_l2_terms(rho, nu, n, m, d, k).mean())
     if not math.isfinite(est):
         raise NonFiniteEstimateError(
             f"L2 squared estimate is {est!r} "
             f"(the neighbor distances raised to the power d={d} leave float64 range)"
         )
     return est
-
-
-def _check_l2_k(k: int) -> None:
-    if k < 3:
-        raise ConfigError(f"l2 estimator requires k >= 3 (k - 2 > 0), got k={k}")
 
 
 def l2_squared(x, y, k: int, *, workers: int = 1) -> float:
@@ -246,26 +238,10 @@ def l2_squared(x, y, k: int, *, workers: int = 1) -> float:
     returned unclamped for diagnostic value. Requires k >= 3. An estimate
     that is not finite raises NonFiniteEstimateError.
     """
-    _check_l2_k(k)
-    xa, ya = _validated_pair(x, y)
-    n, m = xa.shape[0], ya.shape[0]
-    _check_pair_sizes(n, m, k)
-    rho, nu = _pair_distances(xa, ya, k, workers)
-    return _l2_squared_estimate(rho, nu, n, m, xa.shape[1], k)
-
-
-def _l2_squared_unnormalized_cross(x, y, k: int, *, workers: int = 1) -> float:
-    """Variant of l2_squared that omits the unit-ball volume from the
-    cross-sample terms. Dimensionally inconsistent (its value depends
-    on the volume constant in d > 0); kept only as a negative control
-    for the volume-normalization tests. Do not use for estimation.
-    """
-    _check_l2_k(k)
-    xa, ya = _validated_pair(x, y)
-    n, m = xa.shape[0], ya.shape[0]
-    _check_pair_sizes(n, m, k)
-    rho, nu = _pair_distances(xa, ya, k, workers)
-    return _l2_squared_estimate(rho, nu, n, m, xa.shape[1], k, cross_volume=False)
+    if k < 3:
+        raise ConfigError(f"l2 estimator requires k >= 3 (k - 2 > 0), got k={k}")
+    rho, nu, n, m, d = _pair_statistics(x, y, k, workers)
+    return _l2_squared_estimate(rho, nu, n, m, d, k)
 
 
 def l2_divergence(x, y, k: int, *, workers: int = 1) -> float:
@@ -274,49 +250,82 @@ def l2_divergence(x, y, k: int, *, workers: int = 1) -> float:
 
 
 def symmetrize(a: float, b: float) -> float:
-    """Average of the two directed estimates."""
+    """Average of the two directed estimates (elementwise for tables)."""
     return (a + b) / 2.0
 
 
 # ---------------------------------------------------------------------------
 # Pairwise matrices.
 
-def _directed_value(rho, nu, n, m, d, cfg: EstimatorConfig, b: float, ids) -> float:
-    try:
-        if cfg.kind == RENYI:
-            return math.log(_integral_estimate(rho, nu, n, m, d, cfg.alpha, b)) / (cfg.alpha - 1.0)
-        return math.sqrt(max(0.0, _l2_squared_estimate(rho, nu, n, m, d, cfg.k)))
-    except NonFiniteEstimateError as exc:
-        raise NonFiniteEstimateError(f"from group '{ids[0]}' to '{ids[1]}': {exc}") from None
+def _divergence_table(rows, cols, directed, symmetric: bool, *, square: bool = False) -> np.ndarray:
+    """The rows x cols table of directed(row, col), symmetrized on request.
+
+    A square table (rows and cols are the same items) leaves its diagonal
+    zero and is its own reverse; a cross table builds the cols x rows
+    reverse table to average with.
+    """
+    table = np.zeros((len(rows), len(cols)))
+    for i, row in enumerate(rows):
+        for j, col in enumerate(cols):
+            if not (square and i == j):
+                table[i, j] = directed(row, col)
+    if not symmetric:
+        return table
+    other = table if square else _divergence_table(cols, rows, directed, False)
+    return symmetrize(table, other.T)
 
 
-def _group_indices_and_rho(groups, k: int, workers: int):
-    indices = []
-    rhos = []
-    for g in groups:
+def _check_same_dim(ds_from: "Dataset", ds_to: "Dataset") -> None:
+    if ds_from.dim != ds_to.dim:
+        raise ContractError(f"dataset dimensions differ: {ds_from.dim} vs {ds_to.dim}")
+
+
+def _sample_table(ds_from: "Dataset", ds_to: "Dataset", cfg: EstimatorConfig,
+                  workers: int, *, square: bool = False) -> np.ndarray:
+    """The table of sample-based divergences from ds_from's groups to ds_to's.
+
+    Each group gets its index and rho_k once, ds_to's groups first; a
+    square table reuses them for its rows. Each entry is the nu_k query
+    from the row group to the column group, reduced as cfg asks.
+    """
+    k = cfg.k
+    b = correction_factor(k, cfg.alpha) if cfg.kind == RENYI else math.nan
+
+    def prepare(g):
         if g.points.shape[0] < k + 1:
             raise InsufficientSampleError(
                 f"group '{g.id}' has {g.points.shape[0]} points; k={k} needs "
                 f"at least {k + 1}"
             )
-        idx = knn.build_index(g.points)
-        rho = knn.kth_nn_within(idx, k, workers=workers)
+        index = knn.build_index(g.points)
+        rho = knn.kth_nn_within(index, k, workers=workers)
         try:
             _screen_rho(rho)
         except DegenerateDistanceError as exc:
             raise DegenerateDistanceError(f"group '{g.id}': {exc}") from None
-        indices.append(idx)
-        rhos.append(rho)
-    return indices, rhos
+        return g, index, rho
 
+    def directed(row, col) -> float:
+        (g_from, _, rho), (g_to, index_to, _) = row, col
+        try:
+            nu = knn.kth_nn_cross(g_from.points, index_to, k, workers=workers)
+        except DegenerateDistanceError as exc:
+            raise DegenerateDistanceError(
+                f"between groups '{g_from.id}' and '{g_to.id}': {exc}"
+            ) from None
+        n, m, d = rho.shape[0], index_to.size, index_to.dim
+        try:
+            if cfg.kind == RENYI:
+                return math.log(_integral_estimate(rho, nu, n, m, d, cfg.alpha, b)) / (cfg.alpha - 1.0)
+            return math.sqrt(max(0.0, _l2_squared_estimate(rho, nu, n, m, d, k)))
+        except NonFiniteEstimateError as exc:
+            raise NonFiniteEstimateError(
+                f"from group '{g_from.id}' to '{g_to.id}': {exc}"
+            ) from None
 
-def _cross_nu(g_from, index_to, id_to: str, k: int, workers: int) -> np.ndarray:
-    try:
-        return knn.kth_nn_cross(g_from.points, index_to, k, workers=workers)
-    except DegenerateDistanceError as exc:
-        raise DegenerateDistanceError(
-            f"between groups '{g_from.id}' and '{id_to}': {exc}"
-        ) from None
+    to_items = [prepare(g) for g in ds_to.groups]
+    from_items = to_items if square else [prepare(g) for g in ds_from.groups]
+    return _divergence_table(from_items, to_items, directed, cfg.symmetrize, square=square)
 
 
 def divergence_matrix(ds: "Dataset", cfg: EstimatorConfig, *, workers: int = 1) -> DivergenceMatrix:
@@ -327,23 +336,7 @@ def divergence_matrix(ds: "Dataset", cfg: EstimatorConfig, *, workers: int = 1) 
     are averaged into both cells; the diagonal is zero. Entries are
     independent of each other and of ``workers``.
     """
-    groups = ds.groups
-    count = len(groups)
-    b = correction_factor(cfg.k, cfg.alpha) if cfg.kind == RENYI else math.nan
-    indices, rhos = _group_indices_and_rho(groups, cfg.k, workers)
-    d = ds.dim
-    directed = np.zeros((count, count))
-    for i in range(count):
-        n = groups[i].points.shape[0]
-        for j in range(count):
-            if i == j:
-                continue
-            nu = _cross_nu(groups[i], indices[j], groups[j].id, cfg.k, workers)
-            directed[i, j] = _directed_value(
-                rhos[i], nu, n, indices[j].size, d, cfg, b, (groups[i].id, groups[j].id)
-            )
-    values = (directed + directed.T) / 2.0 if cfg.symmetrize else directed
-    return DivergenceMatrix(tuple(g.id for g in groups), values, cfg)
+    return DivergenceMatrix(ds.ids, _sample_table(ds, ds, cfg, workers, square=True), cfg)
 
 
 def cross_divergence_matrix(ds_from: "Dataset", ds_to: "Dataset",
@@ -355,28 +348,5 @@ def cross_divergence_matrix(ds_from: "Dataset", ds_to: "Dataset",
     directed estimates. Feeds the anomaly-scoring and classification
     tasks, where rows are query groups and columns reference groups.
     """
-    if ds_from.dim != ds_to.dim:
-        raise ContractError(
-            f"dataset dimensions differ: {ds_from.dim} vs {ds_to.dim}"
-        )
-    b = correction_factor(cfg.k, cfg.alpha) if cfg.kind == RENYI else math.nan
-    d = ds_from.dim
-    to_indices, to_rhos = _group_indices_and_rho(ds_to.groups, cfg.k, workers)
-    from_indices, from_rhos = _group_indices_and_rho(ds_from.groups, cfg.k, workers)
-    out = np.zeros((len(ds_from.groups), len(ds_to.groups)))
-    for i, gi in enumerate(ds_from.groups):
-        n = gi.points.shape[0]
-        for j, gj in enumerate(ds_to.groups):
-            nu = _cross_nu(gi, to_indices[j], gj.id, cfg.k, workers)
-            value = _directed_value(
-                from_rhos[i], nu, n, to_indices[j].size, d, cfg, b, (gi.id, gj.id)
-            )
-            if cfg.symmetrize:
-                nu_back = _cross_nu(gj, from_indices[i], gi.id, cfg.k, workers)
-                back = _directed_value(
-                    to_rhos[j], nu_back, gj.points.shape[0], from_indices[i].size, d, cfg, b,
-                    (gj.id, gi.id),
-                )
-                value = symmetrize(value, back)
-            out[i, j] = value
-    return out
+    _check_same_dim(ds_from, ds_to)
+    return _sample_table(ds_from, ds_to, cfg, workers)

@@ -17,7 +17,7 @@ import pytest
 from scipy.spatial.distance import pdist
 from scipy.stats import spearmanr
 
-from divknn import baselines, cli, dataset, estimators, oracle, synth, tasks
+from divknn import baselines, cli, dataset, estimators, knn, oracle, synth, tasks
 from divknn.errors import ConfigError
 
 # Oracle values for N(0,1) vs N(1,1), alpha = 1/2:
@@ -132,12 +132,25 @@ def test_c03_l2_consistency():
 # ---------------------------------------------------------------------------
 # 4. Dimensional-consistency gate for the squared-L2 estimator.
 
+def _l2_squared_unnormalized_cross(x, y, k):
+    """l2_squared with the unit-ball volume left out of the cross-sample
+    terms. Dimensionally inconsistent (its value depends on the volume
+    constant in d > 0): the negative control for C04, not an estimator.
+    """
+    (n, d), m = x.shape, y.shape[0]
+    rho = knn.kth_nn_within(knn.build_index(x), k)
+    nu = knn.kth_nn_cross(x, knn.build_index(y), k)
+    u = (n - 1) * knn.unit_ball_volume(d) * rho ** d
+    v = m * nu ** d
+    return float(((k - 1) / u - 2.0 * (k - 1) / v + u * ((k - 2) * (k - 1) / k) / v ** 2).mean())
+
+
 def test_c04_l2_cross_term_volume_gate():
     corrected, printed = [], []
     for s in range(20):
         x, y = _shifted_pair_2d(s, 5000)
         corrected.append(estimators.l2_squared(x, y, 20))
-        printed.append(estimators._l2_squared_unnormalized_cross(x, y, 20))
+        printed.append(_l2_squared_unnormalized_cross(x, y, 20))
     med_c = float(np.median(corrected))
     med_p = float(np.median(printed))
     err_c = abs(med_c - L2SQ_2D) / L2SQ_2D

@@ -12,6 +12,8 @@ from divknn.dataset import Dataset, Group
 from divknn.errors import ConfigError, InsufficientSampleError
 from divknn.estimators import EstimatorConfig
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 # Quadrature values for N(0,1) vs N(1,1), frozen from the oracle module
 # at tolerance 1e-9 (the Renyi value is also exp(-1/8) by hand).
 RENYI_SHIFTED = 0.25
@@ -164,3 +166,28 @@ def test_baseline_cross_matrix_matches_pairs():
     fit1 = bl.fit_gaussian(b.groups[1].points)
     want = bl.gaussian_renyi(fit0, fit1, 0.5)
     assert w[0, 1] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("cfg", [EstimatorConfig("renyi", 0.5, 20),
+                                 EstimatorConfig("l2", k=20)])
+def test_baseline_matrices_are_exact_pair_averages(cfg):
+    a, b = _ds(4), _ds(5)
+
+    def pair(p, q):
+        fp, fq = bl.fit_gaussian(p.points), bl.fit_gaussian(q.points)
+        if cfg.kind == "renyi":
+            return bl.gaussian_renyi(fp, fq, cfg.alpha)
+        return bl.gaussian_l2(fp, fq)
+
+    square = bl.baseline_matrix(a, cfg).values
+    cross = bl.baseline_cross_matrix(a, b, cfg)
+    for i, gi in enumerate(a.groups):
+        for j, gj in enumerate(a.groups):
+            if i != j:
+                assert square[i, j] == (pair(gi, gj) + pair(gj, gi)) / 2.0
+        for j, gj in enumerate(b.groups):
+            assert cross[i, j] == (pair(gi, gj) + pair(gj, gi)) / 2.0
+    # off the diagonal, the cross matrix of a dataset with itself is the
+    # square matrix
+    off = ~np.eye(len(a), dtype=bool)
+    assert np.array_equal(bl.baseline_cross_matrix(a, a, cfg)[off], square[off])

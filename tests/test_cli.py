@@ -225,6 +225,32 @@ def test_non_finite_l2_estimate_exits_2(tmp_path):
     assert not out.exists()
 
 
+def _anomaly_split(tmp_path, train, test):
+    train_dir, test_dir = tmp_path / "train", tmp_path / "test"
+    dsm.save_dataset(train, train_dir)
+    dsm.save_dataset(test, test_dir)
+    return ["anomaly", "--train", str(train_dir), "--test", str(test_dir),
+            "--k", "3", "--kanom", "1", "--out", str(tmp_path / "s.csv")]
+
+
+@pytest.mark.parametrize("baseline", ["none", "gaussian"])
+def test_anomaly_dimension_mismatch_exits_1(tmp_path, baseline):
+    rng = np.random.Generator(np.random.Philox(5))
+    train = dsm.Dataset((dsm.Group("a", rng.normal(size=(20, 2))),))
+    test = dsm.Dataset((dsm.Group("t", rng.normal(size=(20, 1))),))
+    assert run(*_anomaly_split(tmp_path, train, test), "--baseline", baseline) == 1
+
+
+def test_anomaly_dedup_rescues_duplicates(tmp_path):
+    rng = np.random.Generator(np.random.Philox(6))
+    train = dsm.Dataset((dsm.Group("a", rng.normal(size=(20, 1))),
+                         dsm.Group("b", rng.normal(size=(20, 1)))))
+    test = dsm.Dataset((dsm.Group("t", np.repeat(rng.normal(size=(5, 1)), 4, axis=0)),))
+    argv = _anomaly_split(tmp_path, train, test)
+    assert run(*argv) == 2
+    assert run(*argv, "--dedup") == 0
+
+
 def test_flat_matrix_cluster_exits_2(tmp_path):
     n = 9
     ids = [f"g{i}" for i in range(n)]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divknn import baselines
 from divknn import estimators as est
 from divknn.dataset import Dataset, Group
 from divknn.errors import (
@@ -15,6 +16,8 @@ from divknn.errors import (
     DegenerateDistanceError,
     NonFiniteEstimateError,
 )
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 # Hand evaluation of the k=1, alpha=0.5 estimator on x = {0, 2}, y = {1}:
 # both terms equal sqrt(2), the correction factor is 2/pi, so the
@@ -322,3 +325,57 @@ def test_divergence_matrix_validation():
         est.DivergenceMatrix(ids, np.full((2, 2), np.nan), cfg)
     ok = est.DivergenceMatrix(ids, np.array([[0.0, 1.0], [1.0, 0.0]]), cfg)
     assert ok.values[0, 1] == 1.0
+
+
+def _pair_estimate(cfg):
+    if cfg.kind == "renyi":
+        return lambda x, y: est.renyi_divergence(x, y, cfg.k, cfg.alpha)
+    return lambda x, y: est.l2_divergence(x, y, cfg.k)
+
+
+@pytest.mark.parametrize("cfg", [est.EstimatorConfig("renyi", 0.5, 5),
+                                 est.EstimatorConfig("l2", k=4)])
+def test_matrix_entries_are_exact_pair_averages(cfg):
+    ds_a, ds_b = _toy_dataset(5, n=80), _toy_dataset(6, n=90)
+    pair = _pair_estimate(cfg)
+    square = est.divergence_matrix(ds_a, cfg).values
+    cross = est.cross_divergence_matrix(ds_a, ds_b, cfg)
+    for i, gi in enumerate(ds_a.groups):
+        for j, gj in enumerate(ds_a.groups):
+            if i != j:
+                want = (pair(gi.points, gj.points) + pair(gj.points, gi.points)) / 2.0
+                assert square[i, j] == want
+        for j, gj in enumerate(ds_b.groups):
+            want = (pair(gi.points, gj.points) + pair(gj.points, gi.points)) / 2.0
+            assert cross[i, j] == want
+
+
+@pytest.mark.parametrize("cfg", [est.EstimatorConfig("renyi", 0.5, 5),
+                                 est.EstimatorConfig("renyi", 0.8, 5, symmetrize=False),
+                                 est.EstimatorConfig("l2", k=4)])
+def test_cross_matrix_with_itself_is_the_square_matrix(cfg):
+    # off the diagonal, both are views of the same directed table
+    ds = _toy_dataset(7, n=80)
+    off = ~np.eye(len(ds), dtype=bool)
+    cross = est.cross_divergence_matrix(ds, ds, cfg)
+    assert np.array_equal(cross[off], est.divergence_matrix(ds, cfg).values[off])
+
+
+def test_symmetrized_cross_matrix_names_the_failing_reverse_direction():
+    # y -> x is finite, x -> y underflows: only the reverse table fails
+    x, y = _far_groups_d80(x_scale=1e-6, y_scale=1.0, shift=1e6)
+    ds_from, ds_to = Dataset((Group("y", y),)), Dataset((Group("x", x),))
+    forward = est.cross_divergence_matrix(
+        ds_from, ds_to, est.EstimatorConfig("renyi", 0.5, 5, symmetrize=False))
+    assert np.isfinite(forward).all()
+    with pytest.raises(NonFiniteEstimateError, match="from group 'x' to 'y'"):
+        est.cross_divergence_matrix(ds_from, ds_to, est.EstimatorConfig("renyi", 0.5, 5))
+
+
+@pytest.mark.parametrize("build", [est.cross_divergence_matrix,
+                                   baselines.baseline_cross_matrix])
+def test_cross_builders_reject_mismatched_dimensions(build):
+    one = Dataset((Group("a", _rng(0).normal(size=(30, 1))),))
+    two = Dataset((Group("b", _rng(1).normal(size=(30, 2))),))
+    with pytest.raises(ContractError, match="dataset dimensions differ: 1 vs 2"):
+        build(one, two, est.EstimatorConfig("renyi", 0.5, 5))

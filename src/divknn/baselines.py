@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import ConfigError, InsufficientSampleError
-from .estimators import RENYI, DivergenceMatrix, _check_same_dim, _divergence_table
+from .errors import ConfigError, ContractError, InsufficientSampleError
+from .estimators import RENYI, DivergenceMatrix, _check_same_dim, _divergence_table, _per_pair
 
 # Smallest covariance eigenvalue tolerated, relative to mean variance.
 RIDGE_FLOOR = 1e-9
@@ -99,7 +99,7 @@ def gaussian_renyi(p: GaussianFit, q: GaussianFit, alpha: float) -> float:
     is positive definite (always true for alpha in [0, 1]).
     """
     if p.dim != q.dim:
-        raise ConfigError(f"dimensions differ: {p.dim} vs {q.dim}")
+        raise ContractError(f"dimensions differ: {p.dim} vs {q.dim}")
     if alpha == 1.0:
         raise ConfigError("alpha must differ from 1")
     cov_mix = (1.0 - alpha) * p.covariance + alpha * q.covariance
@@ -128,7 +128,7 @@ def gaussian_l2(p: GaussianFit, q: GaussianFit) -> float:
     against roundoff on nearly identical fits.
     """
     if p.dim != q.dim:
-        raise ConfigError(f"dimensions differ: {p.dim} vs {q.dim}")
+        raise ContractError(f"dimensions differ: {p.dim} vs {q.dim}")
     zero = np.zeros(p.dim)
     dmu = q.mean - p.mean
     pp = _gaussian_density_at(zero, 2.0 * p.covariance, "doubled covariance of p")
@@ -141,10 +141,10 @@ def gaussian_l2(p: GaussianFit, q: GaussianFit) -> float:
 # Drop-in pairwise matrices, built like the sample-based ones.
 
 def _directed_fit(cfg):
-    """The closed-form directed divergence between two fits that cfg asks for."""
+    """The table column of closed-form directed divergences that cfg asks for."""
     if cfg.kind == RENYI:
-        return functools.partial(gaussian_renyi, alpha=cfg.alpha)
-    return gaussian_l2
+        return _per_pair(functools.partial(gaussian_renyi, alpha=cfg.alpha))
+    return _per_pair(gaussian_l2)
 
 
 def baseline_matrix(ds, cfg):

@@ -9,6 +9,9 @@ each term asymptotically unbiased; no density estimate is ever formed.
 
 Every matrix is a view of one directed table of estimates from row
 groups to column groups; symmetrizing averages it with its reverse.
+The sample-based table is filled one column at a time: the column
+group's index answers a single nu_k query over the stacked points of
+all its row groups, which is then sliced per pair.
 
 All estimation functions are pure given immutable inputs. The optional
 ``workers`` argument only parallelizes the neighbor queries and never
@@ -29,6 +32,7 @@ from .errors import (
     ConfigError,
     ContractError,
     DegenerateDistanceError,
+    DivknnError,
     InsufficientSampleError,
     NonFiniteEstimateError,
 )
@@ -257,22 +261,46 @@ def symmetrize(a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 # Pairwise matrices.
 
-def _divergence_table(rows, cols, directed, symmetric: bool, *, square: bool = False) -> np.ndarray:
-    """The rows x cols table of directed(row, col), symmetrized on request.
+def _divergence_table(rows, cols, column, symmetric: bool, *, square: bool = False) -> np.ndarray:
+    """The rows x cols table of directed divergences, symmetrized on request.
 
-    A square table (rows and cols are the same items) leaves its diagonal
-    zero and is its own reverse; a cross table builds the cols x rows
-    reverse table to average with.
+    ``column(paired, col)`` gives the directed value from each item of
+    the list ``paired`` to col, in order, as a float or as the DivknnError
+    that pair raised. A square table (rows and cols are the same items)
+    pairs no item with itself, leaves its diagonal zero and is its own
+    reverse; a cross table builds the cols x rows reverse table to
+    average with. Columns are filled in turn, but of several failing
+    pairs the first in row-major order raises, the forward table's
+    before the reverse table's.
     """
     table = np.zeros((len(rows), len(cols)))
-    for i, row in enumerate(rows):
-        for j, col in enumerate(cols):
-            if not (square and i == j):
-                table[i, j] = directed(row, col)
+    failures = {}
+    for j, col in enumerate(cols):
+        paired = [i for i in range(len(rows)) if not (square and i == j)]
+        for i, value in zip(paired, column([rows[i] for i in paired], col)):
+            if isinstance(value, DivknnError):
+                failures[i, j] = value
+            else:
+                table[i, j] = value
+    if failures:
+        raise failures[min(failures)]
     if not symmetric:
         return table
-    other = table if square else _divergence_table(cols, rows, directed, False)
+    other = table if square else _divergence_table(cols, rows, column, False)
     return symmetrize(table, other.T)
+
+
+def _per_pair(directed):
+    """A table column function that calls directed(row, col) for each row."""
+    def column(paired, col):
+        values = []
+        for row in paired:
+            try:
+                values.append(directed(row, col))
+            except DivknnError as exc:
+                values.append(exc)
+        return values
+    return column
 
 
 def _check_same_dim(ds_from: "Dataset", ds_to: "Dataset") -> None:
@@ -285,8 +313,11 @@ def _sample_table(ds_from: "Dataset", ds_to: "Dataset", cfg: EstimatorConfig,
     """The table of sample-based divergences from ds_from's groups to ds_to's.
 
     Each group gets its index and rho_k once, ds_to's groups first; a
-    square table reuses them for its rows. Each entry is the nu_k query
-    from the row group to the column group, reduced as cfg asks.
+    square table reuses them for its rows. Each column group then answers
+    one nu_k query over the stacked points of every row group paired with
+    it, and each pair reduces its own slice of nu_k as cfg asks. The
+    stacked queries of one column are a copy of at most the whole
+    dataset's points.
     """
     k = cfg.k
     b = correction_factor(k, cfg.alpha) if cfg.kind == RENYI else math.nan
@@ -305,27 +336,40 @@ def _sample_table(ds_from: "Dataset", ds_to: "Dataset", cfg: EstimatorConfig,
             raise DegenerateDistanceError(f"group '{g.id}': {exc}") from None
         return g, index, rho
 
-    def directed(row, col) -> float:
-        (g_from, _, rho), (g_to, index_to, _) = row, col
+    def cross_nu(paired, index):
+        """nu_k of each paired group against index, or the error its own query raises."""
+        sizes = [g.points.shape[0] for g, _, _ in paired]
         try:
-            nu = knn.kth_nn_cross(g_from.points, index_to, k, workers=workers)
+            nu = knn.kth_nn_cross(np.concatenate([g.points for g, _, _ in paired]),
+                                  index, k, workers=workers)
         except DegenerateDistanceError as exc:
-            raise DegenerateDistanceError(
-                f"between groups '{g_from.id}' and '{g_to.id}': {exc}"
-            ) from None
+            if len(paired) == 1:
+                return [exc]
+            # Query each group on its own, so that the error names the
+            # failing point by its index within its group.
+            return [cross_nu([row], index)[0] for row in paired]
+        return np.split(nu, np.cumsum(sizes[:-1]))
+
+    def estimate(row, col, nu):
+        """The pair's directed divergence, or its error naming the pair."""
+        (g_from, _, rho), (g_to, index_to, _) = row, col
+        if isinstance(nu, DegenerateDistanceError):
+            return DegenerateDistanceError(
+                f"between groups '{g_from.id}' and '{g_to.id}': {nu}")
         n, m, d = rho.shape[0], index_to.size, index_to.dim
         try:
             if cfg.kind == RENYI:
                 return math.log(_integral_estimate(rho, nu, n, m, d, cfg.alpha, b)) / (cfg.alpha - 1.0)
             return math.sqrt(max(0.0, _l2_squared_estimate(rho, nu, n, m, d, k)))
         except NonFiniteEstimateError as exc:
-            raise NonFiniteEstimateError(
-                f"from group '{g_from.id}' to '{g_to.id}': {exc}"
-            ) from None
+            return NonFiniteEstimateError(f"from group '{g_from.id}' to '{g_to.id}': {exc}")
+
+    def column(paired, col):
+        return [estimate(row, col, nu) for row, nu in zip(paired, cross_nu(paired, col[1]))]
 
     to_items = [prepare(g) for g in ds_to.groups]
     from_items = to_items if square else [prepare(g) for g in ds_from.groups]
-    return _divergence_table(from_items, to_items, directed, cfg.symmetrize, square=square)
+    return _divergence_table(from_items, to_items, column, cfg.symmetrize, square=square)
 
 
 def divergence_matrix(ds: "Dataset", cfg: EstimatorConfig, *, workers: int = 1) -> DivergenceMatrix:

@@ -14,9 +14,22 @@ built:
 * d = 1, sorted window: the k nearest points of a query on a line are a
   contiguous run of the sorted sample, so one binary search and a
   2k-wide gather find them with no tree;
-* 2 <= d <= 15, kd-tree: a balanced ``scipy.spatial.cKDTree``;
-* d > 15, brute force: all pairwise distances, in row chunks whose
-  temporaries stay within a fixed byte budget.
+* 2 <= d <= 7, kd-tree: a balanced ``scipy.spatial.cKDTree``;
+* d > 7, brute force: all pairwise distances.
+
+A route returns only the neighbor ranks its caller reads, not the whole
+sorted table of the nearest distances: the within-sample query reads
+rank k + 1 (the self match takes rank 1), the cross-sample query ranks
+1, k and k + 1, clipped to the sample size. The kd-tree route passes the ranks to
+``cKDTree.query``; the other two sort a row's candidates and keep those
+columns.
+
+The sorted-window and brute-force routes work through their queries in
+blocks of rows whose temporaries stay within one byte budget,
+``_BLOCK_BYTES``. The budget is small on purpose: glibc serves large
+allocations with fresh ``mmap`` pages, and at several MiB per block
+the page faults of every new temporary cost more than the arithmetic.
+Blocks of a few hundred KiB are reused from the heap and fault nothing.
 
 Squared distances are used internally; square roots are taken once at
 the boundary. All results are exact and match the brute-force route
@@ -34,13 +47,16 @@ from scipy.special import gammaln
 
 from .errors import DegenerateDistanceError, InsufficientSampleError
 
-# kd-trees stop paying off in high dimensions; switch to brute force there.
-BRUTE_FORCE_DIM = 15
+# Above this dimension queries run brute force. cKDTree sums a squared
+# distance in four interleaved partial sums from d = 8 on, numpy's brute
+# force in eight, so the two routes would differ in the last bits there.
+BRUTE_FORCE_DIM = 7
 LEAF_SIZE = 16
 
-# Byte budget for the broadcast difference of one brute-force chunk, which
-# holds rows * N * d float64 values; the rows per chunk follow from it.
-_BRUTE_BUDGET_BYTES = 32 * 2**20
+# Byte budget for the temporaries of one block of query rows on the
+# sorted-window and brute-force routes; the rows per block follow from
+# each route's temporary per row.
+_BLOCK_BYTES = 256 * 2**10
 
 
 def _as_points(points, name: str = "points") -> np.ndarray:
@@ -60,11 +76,13 @@ class NeighborIndex:
     ``tree`` holds the structure of the route chosen from d:
 
     * d = 1: the sorted coordinates, a 1-D array searched by sorted window;
-    * 2 <= d <= 15: a balanced kd-tree (median split on the widest-spread
+    * 2 <= d <= 7: a balanced kd-tree (median split on the widest-spread
       coordinate, leaf size 16);
-    * d > 15: None, and queries run brute force.
+    * d > 7: None, and queries run brute force.
 
-    Safe for concurrent queries.
+    A query asks for a few neighbor ranks and gets one column per rank;
+    the sorted-window and brute-force routes answer it in blocks of rows
+    within ``_BLOCK_BYTES`` of temporaries. Safe for concurrent queries.
     """
 
     __slots__ = ("points", "tree")
@@ -87,34 +105,50 @@ class NeighborIndex:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def _sorted_distances(self, queries: np.ndarray, kq: int, workers: int) -> np.ndarray:
-        """Distances to the kq nearest indexed points, ascending per row."""
+    def _rank_distances(self, queries: np.ndarray, ranks: tuple, workers: int) -> np.ndarray:
+        """Distances to the indexed points of the given 1-based neighbor
+        ranks (ascending, at most the index size), one column per rank."""
         if self.tree is None:
-            return _brute_sorted_distances(queries, self.points, kq)
+            return _brute_rank_distances(queries, self.points, ranks)
         if self.dim == 1:
-            return _window_sorted_distances(queries[:, 0], self.tree, kq)
-        dist, _ = self.tree.query(queries, k=kq, workers=workers)
-        if kq == 1:
-            dist = dist[:, None]
-        return dist
+            return _window_rank_distances(queries[:, 0], self.tree, ranks)
+        return self.tree.query(queries, k=list(ranks), workers=workers)[0]
 
 
-def _window_sorted_distances(q: np.ndarray, line: np.ndarray, kq: int) -> np.ndarray:
+def _in_blocks(n: int, row_bytes: int, ncols: int, block) -> np.ndarray:
+    """The n x ncols table filled by ``block(rows)``, one slice of rows at
+    a time, as many as keep row_bytes per row within _BLOCK_BYTES."""
+    step = max(1, _BLOCK_BYTES // row_bytes)
+    out = np.empty((n, ncols))
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        out[rows] = block(rows)
+    return out
+
+
+def _window_rank_distances(q: np.ndarray, line: np.ndarray, ranks: tuple) -> np.ndarray:
     """Sorted-window route for d = 1 against ``line``, the sorted sample.
 
-    The kq nearest points of q lie among the kq sorted points on either
-    side of its insertion point. The window [pos - kq, pos + kq), shifted
-    to fit inside the sample (the whole sample when it has fewer than
-    2 kq points), therefore holds them. Distances are sqrt((q - c)**2),
-    formed as the brute-force route forms them, so the two agree bit for
-    bit, ties and underflow included.
+    With kq the largest rank, the kq nearest points of q lie among the
+    kq sorted points on either side of its insertion point. The window
+    [pos - kq, pos + kq), shifted to fit inside the sample (the whole
+    sample when it has fewer than 2 kq points), therefore holds them.
+    Distances are sqrt((q - c)**2), formed as the brute-force route forms
+    them, so the two agree bit for bit, ties and underflow included.
     """
-    m = line.shape[0]
+    m, kq = line.shape[0], ranks[-1]
     w = min(2 * kq, m)
-    start = np.clip(np.searchsorted(line, q) - kq, 0, m - w)
-    d2 = (q[:, None] - sliding_window_view(line, w)[start]) ** 2
-    d2.sort(axis=1)
-    return np.sqrt(d2[:, :kq])
+    windows = sliding_window_view(line, w)
+    cols = np.subtract(ranks, 1)
+
+    def block(rows):
+        qb = q[rows]
+        start = np.clip(np.searchsorted(line, qb) - kq, 0, m - w)
+        d2 = (qb[:, None] - windows[start]) ** 2
+        d2.sort(axis=1)
+        return np.sqrt(d2[:, cols])
+
+    return _in_blocks(q.shape[0], w * 8, len(ranks), block)
 
 
 def build_index(points) -> NeighborIndex:
@@ -130,7 +164,7 @@ def kth_nn_within(index: NeighborIndex, k: int, *, workers: int = 1) -> np.ndarr
     screen for that.
     """
     return _kth_within(
-        index.size, k, lambda kq: index._sorted_distances(index.points, kq, workers)
+        index.size, k, lambda ranks: index._rank_distances(index.points, ranks, workers)
     )
 
 
@@ -149,15 +183,15 @@ def kth_nn_cross(query_points, index: NeighborIndex, k: int, *, workers: int = 1
             f"query dimension {queries.shape[1]} != index dimension {index.dim}"
         )
     return _kth_cross(
-        index.size, k, lambda kq: index._sorted_distances(queries, kq, workers)
+        index.size, k, lambda ranks: index._rank_distances(queries, ranks, workers)
     )
 
 
-def _kth_within(n: int, k: int, sorted_distances) -> np.ndarray:
+def _kth_within(n: int, k: int, rank_distances) -> np.ndarray:
     """k-th nearest other point of each of n points.
 
-    ``sorted_distances(kq)`` returns every point's kq nearest distances
-    in the same sample, ascending per row.
+    ``rank_distances(ranks)`` returns every point's distances to the
+    points of the given neighbor ranks in the same sample.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -165,15 +199,15 @@ def _kth_within(n: int, k: int, sorted_distances) -> np.ndarray:
         raise InsufficientSampleError(
             f"within-sample k-NN with k={k} needs at least {k + 1} points, got {n}"
         )
-    # Query k+1 neighbors: the self match (distance 0) occupies one slot.
-    return sorted_distances(k + 1)[:, k]
+    # Read rank k+1: the self match (distance 0) occupies rank 1.
+    return rank_distances((k + 1,))[:, 0]
 
 
-def _kth_cross(m: int, k: int, sorted_distances) -> np.ndarray:
+def _kth_cross(m: int, k: int, rank_distances) -> np.ndarray:
     """k-th nearest of m indexed points per query, a coincidence excluded.
 
-    ``sorted_distances(kq)`` returns each query's kq nearest indexed
-    distances, ascending per row.
+    ``rank_distances(ranks)`` returns each query's distances to the
+    indexed points of the given neighbor ranks.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -181,18 +215,18 @@ def _kth_cross(m: int, k: int, sorted_distances) -> np.ndarray:
         raise InsufficientSampleError(
             f"cross-sample k-NN with k={k} needs at least {k} indexed points, got {m}"
         )
-    kq = min(k + 1, m)
-    dist = sorted_distances(kq)
+    # Rank 1 finds a coincidence, rank k is the answer without one and
+    # rank k+1 (when the sample has it) the answer with one.
+    ranks = tuple(sorted({1, k, min(k + 1, m)}))
+    dist = rank_distances(ranks)
     coincident = dist[:, 0] == 0.0
-    if coincident.any() and kq < k + 1:
+    if coincident.any() and ranks[-1] == k:
         idx = int(np.flatnonzero(coincident)[0])
         raise InsufficientSampleError(
             f"query point {idx} coincides with an indexed point; k={k} then "
             f"needs at least {k + 1} indexed points, got {m}"
         )
-    out = dist[:, k - 1].copy()
-    if coincident.any():
-        out[coincident] = dist[coincident, k]
+    out = np.where(coincident, dist[:, -1], dist[:, ranks.index(k)])
     if (out == 0.0).any():
         idx = int(np.flatnonzero(out == 0.0)[0])
         raise DegenerateDistanceError(
@@ -210,28 +244,31 @@ def unit_ball_volume(d: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force route. Used automatically for d > 15 and as the independent
+# Brute-force route. Used automatically for d > 7 and as the independent
 # oracle the other routes are verified against.
 
-def _brute_sorted_distances(queries: np.ndarray, points: np.ndarray, kq: int) -> np.ndarray:
-    rows = max(1, _BRUTE_BUDGET_BYTES // (points.shape[0] * points.shape[1] * 8))
-    out = np.empty((queries.shape[0], kq))
-    for start in range(0, queries.shape[0], rows):
-        chunk = queries[start:start + rows]
-        d2 = ((chunk[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1)
+def _brute_rank_distances(queries: np.ndarray, points: np.ndarray, ranks: tuple) -> np.ndarray:
+    """Brute-force route: every squared distance, the kq smallest sorted,
+    then the ranks' columns (kq the largest rank).
+
+    A block's broadcast difference holds N * d float64 values per row.
+    """
+    kq, cols = ranks[-1], np.subtract(ranks, 1)
+
+    def block(rows):
+        d2 = ((queries[rows, None, :] - points[None, :, :]) ** 2).sum(axis=-1)
         if kq < d2.shape[1]:
-            part = np.partition(d2, kq - 1, axis=1)[:, :kq]
-            part.sort(axis=1)
-        else:
-            part = np.sort(d2, axis=1)
-        out[start:start + rows] = np.sqrt(part)
-    return out
+            d2 = np.partition(d2, kq - 1, axis=1)[:, :kq]
+        d2.sort(axis=1)
+        return np.sqrt(d2[:, cols])
+
+    return _in_blocks(queries.shape[0], points.shape[0] * points.shape[1] * 8, len(ranks), block)
 
 
 def brute_kth_nn_within(points, k: int) -> np.ndarray:
     """Brute-force counterpart of kth_nn_within (no tree involved)."""
     pts = _as_points(points)
-    return _kth_within(pts.shape[0], k, lambda kq: _brute_sorted_distances(pts, pts, kq))
+    return _kth_within(pts.shape[0], k, lambda ranks: _brute_rank_distances(pts, pts, ranks))
 
 
 def brute_kth_nn_cross(query_points, points, k: int) -> np.ndarray:
@@ -241,5 +278,5 @@ def brute_kth_nn_cross(query_points, points, k: int) -> np.ndarray:
     if queries.shape[1] != pts.shape[1]:
         raise ValueError("query/point dimensions differ")
     return _kth_cross(
-        pts.shape[0], k, lambda kq: _brute_sorted_distances(queries, pts, kq)
+        pts.shape[0], k, lambda ranks: _brute_rank_distances(queries, pts, ranks)
     )

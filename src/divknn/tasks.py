@@ -252,22 +252,6 @@ def max_trace(counts) -> float:
     return float(m[rows, cols].sum())
 
 
-def brute_force_max_trace(counts) -> float:
-    """Reference for max_trace: try every column permutation outright.
-
-    Factorial in the matrix side; exists to validate the assignment
-    route on small instances.
-    """
-    from itertools import permutations
-
-    m = np.asarray(counts, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ContractError(f"confusion matrix must be square, got {m.shape}")
-    side = m.shape[0]
-    return float(max(sum(m[i, perm[i]] for i in range(side))
-                     for perm in permutations(range(side))))
-
-
 def _confusion(truth, pred) -> np.ndarray:
     """Square (padded) label-by-cluster count matrix."""
     labels = sorted(set(truth))

@@ -451,14 +451,14 @@ def test_c11_anomaly_auc():
 # ---------------------------------------------------------------------------
 # 12. Hungarian trace maximization vs exhaustive search.
 
-def test_c12_hungarian_equals_brute_force():
+def test_c12_hungarian_equals_brute_force(brute_force_max_trace):
     rng = _rng(7)
     for _ in range(200):
         side = int(rng.integers(1, 7))
         m = rng.uniform(0.0, 50.0, size=(side, side))
         if rng.uniform() < 0.3:
             m = np.floor(m)  # integer counts with likely ties
-        assert tasks.max_trace(m) == tasks.brute_force_max_trace(m)
+        assert tasks.max_trace(m) == brute_force_max_trace(m)
     _report("C12", "200 random confusion matrices up to 6x6: exact match")
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from divknn import baselines as bl
 from divknn.dataset import Dataset, Group
-from divknn.errors import ConfigError, InsufficientSampleError
+from divknn.errors import ConfigError, ContractError, InsufficientSampleError
 from divknn.estimators import EstimatorConfig
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -109,6 +109,15 @@ def test_renyi_mixture_covariance_must_stay_pd():
     # (1-1.5)*1 + 1.5*0.1 = -0.35
     with pytest.raises(ConfigError):
         bl.gaussian_renyi(p, q, 1.5)
+
+
+@pytest.mark.parametrize("divergence", [lambda p, q: bl.gaussian_renyi(p, q, 0.5),
+                                        bl.gaussian_l2])
+def test_fits_of_different_dimension_break_the_contract(divergence):
+    # the sample-based pair estimators raise ContractError for this too
+    p, q = _fit(0.0, 1.0), _fit([0.0, 0.0], np.eye(2))
+    with pytest.raises(ContractError, match="dimensions differ: 1 vs 2"):
+        divergence(p, q)
 
 
 @settings(max_examples=40, deadline=None)

@@ -372,6 +372,43 @@ def test_symmetrized_cross_matrix_names_the_failing_reverse_direction():
         est.cross_divergence_matrix(ds_from, ds_to, est.EstimatorConfig("renyi", 0.5, 5))
 
 
+def test_square_matrix_raises_the_first_failing_pair_in_row_major_order():
+    # a is a tight cluster, b a tighter one 1e-2 away, c a unit cloud 1e6
+    # away. a -> c (row 0, column 2) and b -> a (row 1, column 0) both
+    # underflow; row-major order meets a -> c first, a column-by-column
+    # fill meets b -> a first
+    rng = _rng(81)
+    a = rng.normal(0.0, 1e-6, size=(200, 80))
+    b = rng.normal(0.0, 1e-12, size=(200, 80))
+    b[:, 0] += 1e-2
+    c = rng.normal(0.0, 1.0, size=(200, 80))
+    c[:, 0] += 1e6
+    assert math.isfinite(est.renyi_divergence(a, b, 5, 0.5))
+    for x, y in ((a, c), (b, a)):
+        with pytest.raises(NonFiniteEstimateError):
+            est.renyi_divergence(x, y, 5, 0.5)
+    ds = Dataset((Group("a", a), Group("b", b), Group("c", c)))
+    with pytest.raises(NonFiniteEstimateError, match="from group 'a' to 'c'"):
+        est.divergence_matrix(ds, est.EstimatorConfig("renyi", 0.5, 5, symmetrize=False))
+
+
+def test_degenerate_nu_names_the_point_within_its_own_group():
+    # y holds two points 1.5e-162 either side of 0, where b's point 3
+    # sits: both squared distances underflow to 0, so b's point 3 has a
+    # zero nu_1 against y, while y's own points stay 3e-162 apart. The
+    # column of y stacks a's 40 points before b's
+    rng = _rng(82)
+    a = rng.normal(size=(40, 1))
+    b = rng.normal(size=(30, 1))
+    b[3] = 0.0
+    y = rng.normal(size=(20, 1)) + 5.0
+    y[:2, 0] = (-1.5e-162, 1.5e-162)
+    ds = Dataset((Group("a", a), Group("b", b), Group("y", y)))
+    with pytest.raises(DegenerateDistanceError,
+                       match="between groups 'b' and 'y': query point 3 has a zero"):
+        est.divergence_matrix(ds, est.EstimatorConfig("renyi", 0.75, 1))
+
+
 @pytest.mark.parametrize("build", [est.cross_divergence_matrix,
                                    baselines.baseline_cross_matrix])
 def test_cross_builders_reject_mismatched_dimensions(build):

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from divknn import knn
@@ -87,40 +87,7 @@ def test_bad_inputs_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Tree answers must equal the brute-force route bit for bit.
-
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(5, 60),
-    d=st.integers(1, 4),
-    k=st.integers(1, 4),
-)
-def test_tree_matches_brute_within(seed, n, d, k):
-    pts = _rng(seed).normal(size=(n, d))
-    idx = knn.build_index(pts)
-    tree = knn.kth_nn_within(idx, k)
-    brute = knn.brute_kth_nn_within(pts, k)
-    assert np.array_equal(tree, brute)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(3, 40),
-    m=st.integers(3, 40),
-    d=st.integers(1, 4),
-)
-def test_tree_matches_brute_cross(seed, n, m, d):
-    rng = _rng(seed)
-    queries = rng.normal(size=(n, d))
-    pts = rng.normal(size=(m, d))
-    idx = knn.build_index(pts)
-    k = min(3, m)
-    tree = knn.kth_nn_cross(queries, idx, k)
-    brute = knn.brute_kth_nn_cross(queries, pts, k)
-    assert np.array_equal(tree, brute)
-
+# Every route must equal the brute-force route bit for bit.
 
 def _outcome(query):
     """The query's distances, or the type and message of the error it raised."""
@@ -135,6 +102,63 @@ def _assert_same_outcome(got, want):
         assert isinstance(got, np.ndarray) and np.array_equal(got, want)
     else:
         assert got == want
+
+
+def _rounded_normal(rng, shape, decimals):
+    # rounding makes distance ties and duplicate points
+    return np.round(rng.normal(size=shape) * 3.0, decimals)
+
+
+def _blocked_vs_one_block(monkeypatch, block_bytes, routed, brute):
+    """Outcome of routed() with blocks of block_bytes, and of brute() in one block."""
+    monkeypatch.setattr(knn, "_BLOCK_BYTES", 2**40)
+    want = _outcome(brute)
+    monkeypatch.setattr(knn, "_BLOCK_BYTES", block_bytes)
+    return _outcome(routed), want
+
+
+# The budgets range from one query row per block to a few dozen, so the
+# queries cross several block edges on the window and brute-force routes.
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(5, 60),
+    d=st.integers(1, knn.BRUTE_FORCE_DIM + 1),
+    k=st.integers(1, 4),
+    decimals=st.integers(0, 4),
+    block_bytes=st.integers(1, 2**11),
+)
+def test_tree_matches_brute_within(monkeypatch, seed, n, d, k, decimals, block_bytes):
+    pts = _rounded_normal(_rng(seed), (n, d), decimals)
+    _assert_same_outcome(*_blocked_vs_one_block(
+        monkeypatch, block_bytes,
+        lambda: knn.kth_nn_within(knn.build_index(pts), k),
+        lambda: knn.brute_kth_nn_within(pts, k)))
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 60),
+    m=st.integers(1, 40),
+    d=st.integers(1, knn.BRUTE_FORCE_DIM + 1),
+    k=st.integers(1, 4),
+    decimals=st.integers(0, 4),
+    coincide=st.booleans(),
+    block_bytes=st.integers(1, 2**11),
+)
+def test_tree_matches_brute_cross(monkeypatch, seed, n, m, d, k, decimals, coincide, block_bytes):
+    rng = _rng(seed)
+    queries = _rounded_normal(rng, (n, d), decimals)
+    pts = _rounded_normal(rng, (m, d), decimals)
+    if coincide:
+        queries[::2] = pts[rng.integers(0, m, size=len(queries[::2]))]
+    _assert_same_outcome(*_blocked_vs_one_block(
+        monkeypatch, block_bytes,
+        lambda: knn.kth_nn_cross(queries, knn.build_index(pts), k),
+        lambda: knn.brute_kth_nn_cross(queries, pts, k)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -160,9 +184,9 @@ def test_sorted_window_matches_brute(seed, k, extra, n, decimals, scale_exp, coi
         queries[::2] = pts[rng.integers(0, m, size=len(queries[::2]))]
     idx = knn.build_index(pts)
     assert isinstance(idx.tree, np.ndarray)  # the sorted-window route
-    kq = min(k + 1, m)
-    assert np.array_equal(idx._sorted_distances(queries, kq, 1),
-                          knn._brute_sorted_distances(queries, pts, kq))
+    ranks = tuple(range(1, min(k + 1, m) + 1))  # the whole sorted table
+    assert np.array_equal(idx._rank_distances(queries, ranks, 1),
+                          knn._brute_rank_distances(queries, pts, ranks))
     _assert_same_outcome(_outcome(lambda: knn.kth_nn_cross(queries, idx, k)),
                          _outcome(lambda: knn.brute_kth_nn_cross(queries, pts, k)))
     _assert_same_outcome(_outcome(lambda: knn.kth_nn_within(idx, k)),
@@ -170,22 +194,26 @@ def test_sorted_window_matches_brute(seed, k, extra, n, decimals, scale_exp, coi
 
 
 def test_brute_memory_stays_within_budget(monkeypatch):
-    # at the default budget these 300 x 1000 x 40 queries take three chunks
+    # unblocked, the brute-force case's broadcast difference is 96 MB and
+    # each of the sorted-window case's temporaries 64 MB; both take many
+    # blocks at the default budget too
     rng = _rng(6)
-    queries = rng.normal(size=(300, 40))
-    pts = rng.normal(size=(1000, 40))
-    want = knn.brute_kth_nn_cross(queries, pts, 5)
+    brute = rng.normal(size=(300, 40)), rng.normal(size=(1000, 40)), 5
+    window = rng.normal(size=(20000, 1)), rng.normal(size=(5000, 1)), 200
     budget = 2**20
-    monkeypatch.setattr(knn, "_BRUTE_BUDGET_BYTES", budget)
-    tracemalloc.start()
-    try:
-        got = knn.brute_kth_nn_cross(queries, pts, 5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(got, want)
-    # one chunk's broadcast difference is 96 MB without the budget
-    assert peak <= 4 * budget
+    for queries, pts, k in (brute, window):
+        idx = knn.build_index(pts)
+        want = knn.brute_kth_nn_cross(queries, pts, k), knn.brute_kth_nn_within(pts, k)
+        monkeypatch.setattr(knn, "_BLOCK_BYTES", budget)
+        tracemalloc.start()
+        try:
+            got = knn.kth_nn_cross(queries, idx, k), knn.kth_nn_within(idx, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            monkeypatch.undo()
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert peak <= 4 * budget
 
 
 def test_high_dim_falls_back_to_brute():

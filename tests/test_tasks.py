@@ -177,13 +177,13 @@ def test_max_trace_hand_case():
     assert tasks.max_trace(swapped) == 9.0
 
 
-def test_max_trace_matches_brute_force():
+def test_max_trace_matches_brute_force(brute_force_max_trace):
     rng = _rng(7)
     for _ in range(100):
         side = int(rng.integers(1, 7))
         m = rng.uniform(0.0, 30.0, size=(side, side))
         assert tasks.max_trace(m) == pytest.approx(
-            tasks.brute_force_max_trace(m), rel=1e-12)
+            brute_force_max_trace(m), rel=1e-12)
 
 
 def test_max_trace_requires_square():
@@ -191,10 +191,10 @@ def test_max_trace_requires_square():
         tasks.max_trace(np.ones((2, 3)))
 
 
-def test_brute_force_max_trace_enumerates():
+def test_brute_force_max_trace_enumerates(brute_force_max_trace):
     m = np.array([[1.0, 9.0], [9.0, 1.0]])
     best = max(m[0, p[0]] + m[1, p[1]] for p in itertools.permutations([0, 1]))
-    assert tasks.brute_force_max_trace(m) == best == 18.0
+    assert brute_force_max_trace(m) == best == 18.0
 
 
 def test_trace_accuracy_hand_cases():

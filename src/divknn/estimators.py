@@ -269,14 +269,17 @@ def _divergence_table(rows, cols, column, symmetric: bool, *, square: bool = Fal
     that pair raised. A square table (rows and cols are the same items)
     pairs no item with itself, leaves its diagonal zero and is its own
     reverse; a cross table builds the cols x rows reverse table to
-    average with. Columns are filled in turn, but of several failing
-    pairs the first in row-major order raises, the forward table's
-    before the reverse table's.
+    average with. Columns are filled in turn, and a column with no
+    paired rows (a square table of one item) is skipped. Of several
+    failing pairs the first in row-major order raises, the forward
+    table's before the reverse table's.
     """
     table = np.zeros((len(rows), len(cols)))
     failures = {}
     for j, col in enumerate(cols):
         paired = [i for i in range(len(rows)) if not (square and i == j)]
+        if not paired:
+            continue
         for i, value in zip(paired, column([rows[i] for i in paired], col)):
             if isinstance(value, DivknnError):
                 failures[i, j] = value

@@ -14,8 +14,8 @@ built:
 * d = 1, sorted window: the k nearest points of a query on a line are a
   contiguous run of the sorted sample, so one binary search and a
   2k-wide gather find them with no tree;
-* 2 <= d <= 7, kd-tree: a balanced ``scipy.spatial.cKDTree``;
-* d > 7, brute force: all pairwise distances.
+* 2 <= d <= 15, kd-tree: a balanced ``scipy.spatial.cKDTree``;
+* d > 15, brute force: all pairwise distances.
 
 A route returns only the neighbor ranks its caller reads, not the whole
 sorted table of the nearest distances: the within-sample query reads
@@ -29,11 +29,17 @@ blocks of rows whose temporaries stay within one byte budget,
 ``_BLOCK_BYTES``. The budget is small on purpose: glibc serves large
 allocations with fresh ``mmap`` pages, and at several MiB per block
 the page faults of every new temporary cost more than the arithmetic.
-Blocks of a few hundred KiB are reused from the heap and fault nothing.
+Blocks of a few hundred KiB are mostly reused from the heap: a
+divergence matrix of 25 one-dimensional groups of 2000 points took
+about 180,000 minor page faults with unblocked temporaries, 200,000
+with 4 MiB blocks and 500 with 256 KiB blocks.
 
 Squared distances are used internally; square roots are taken once at
-the boundary. All results are exact and match the brute-force route
-bit for bit.
+the boundary. All results are exact. The sorted-window route and the
+kd-tree route up to d = 7 match the brute-force route bit for bit. From
+d = 8 cKDTree sums a squared distance in four interleaved partial sums
+and numpy's brute force in eight, so there the two may differ in the
+last bits.
 """
 
 from __future__ import annotations
@@ -47,10 +53,8 @@ from scipy.special import gammaln
 
 from .errors import DegenerateDistanceError, InsufficientSampleError
 
-# Above this dimension queries run brute force. cKDTree sums a squared
-# distance in four interleaved partial sums from d = 8 on, numpy's brute
-# force in eight, so the two routes would differ in the last bits there.
-BRUTE_FORCE_DIM = 7
+# kd-trees stop paying off in high dimensions; switch to brute force there.
+BRUTE_FORCE_DIM = 15
 LEAF_SIZE = 16
 
 # Byte budget for the temporaries of one block of query rows on the
@@ -76,9 +80,9 @@ class NeighborIndex:
     ``tree`` holds the structure of the route chosen from d:
 
     * d = 1: the sorted coordinates, a 1-D array searched by sorted window;
-    * 2 <= d <= 7: a balanced kd-tree (median split on the widest-spread
+    * 2 <= d <= 15: a balanced kd-tree (median split on the widest-spread
       coordinate, leaf size 16);
-    * d > 7: None, and queries run brute force.
+    * d > 15: None, and queries run brute force.
 
     A query asks for a few neighbor ranks and gets one column per rank;
     the sorted-window and brute-force routes answer it in blocks of rows
@@ -244,7 +248,7 @@ def unit_ball_volume(d: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force route. Used automatically for d > 7 and as the independent
+# Brute-force route. Used automatically for d > 15 and as the independent
 # oracle the other routes are verified against.
 
 def _brute_rank_distances(queries: np.ndarray, points: np.ndarray, ranks: tuple) -> np.ndarray:

@@ -416,3 +416,14 @@ def test_cross_builders_reject_mismatched_dimensions(build):
     two = Dataset((Group("b", _rng(1).normal(size=(30, 2))),))
     with pytest.raises(ContractError, match="dataset dimensions differ: 1 vs 2"):
         build(one, two, est.EstimatorConfig("renyi", 0.5, 5))
+
+
+@pytest.mark.parametrize("build", [est.divergence_matrix, baselines.baseline_matrix])
+@pytest.mark.parametrize("cfg", [est.EstimatorConfig("renyi", 0.5, 5),
+                                 est.EstimatorConfig("l2", k=5, symmetrize=False)])
+def test_one_group_matrix_is_zero(build, cfg):
+    # the one group is paired with nothing, so its column makes no query
+    ds = Dataset((Group("a", _rng(0).normal(size=(30, 2))),))
+    W = build(ds, cfg)
+    assert W.ids == ("a",)
+    assert np.array_equal(W.values, [[0.0]])

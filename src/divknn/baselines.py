@@ -8,15 +8,14 @@ on agreement with the quadrature oracle rather than taken on faith.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import ConfigError, ContractError, InsufficientSampleError
-from .estimators import RENYI, DivergenceMatrix, _check_same_dim, _divergence_table, _per_pair
+from .errors import ConfigError, ContractError, DivknnError, InsufficientSampleError
+from .estimators import RENYI, DivergenceMatrix, _divergence_table
 
 # Smallest covariance eigenvalue tolerated, relative to mean variance.
 RIDGE_FLOOR = 1e-9
@@ -142,9 +141,12 @@ def gaussian_l2(p: GaussianFit, q: GaussianFit) -> float:
 
 def _directed_fit(cfg):
     """The table column of closed-form directed divergences that cfg asks for."""
-    if cfg.kind == RENYI:
-        return _per_pair(functools.partial(gaussian_renyi, alpha=cfg.alpha))
-    return _per_pair(gaussian_l2)
+    def directed(p, q):
+        try:
+            return gaussian_renyi(p, q, cfg.alpha) if cfg.kind == RENYI else gaussian_l2(p, q)
+        except DivknnError as exc:
+            return exc
+    return lambda paired, col: [directed(row, col) for row in paired]
 
 
 def baseline_matrix(ds, cfg):
@@ -155,14 +157,15 @@ def baseline_matrix(ds, cfg):
     tell the two apart. The config's k is irrelevant here and the
     matrix carries no config.
     """
-    fits = [fit_gaussian(g.points) for g in ds.groups]
-    values = _divergence_table(fits, fits, _directed_fit(cfg), cfg.symmetrize, square=True)
-    return DivergenceMatrix(ds.ids, values, None)
+    return DivergenceMatrix(ds.ids, baseline_cross_matrix(ds, ds, cfg), None)
 
 
 def baseline_cross_matrix(ds_from, ds_to, cfg) -> np.ndarray:
-    """Closed-form divergences from each group of ds_from to each of ds_to."""
-    _check_same_dim(ds_from, ds_to)
-    from_fits = [fit_gaussian(g.points) for g in ds_from.groups]
-    to_fits = [fit_gaussian(g.points) for g in ds_to.groups]
-    return _divergence_table(from_fits, to_fits, _directed_fit(cfg), cfg.symmetrize)
+    """Closed-form divergences from each group of ds_from to each of ds_to.
+
+    Layout and same-group rule as cross_divergence_matrix: a group of
+    ds_to with the id and bitwise-equal points of a group of ds_from is
+    fitted once and its cell is exactly 0.
+    """
+    return _divergence_table(ds_from, ds_to, lambda g: fit_gaussian(g.points),
+                             _directed_fit(cfg), cfg.symmetrize)

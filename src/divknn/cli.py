@@ -208,6 +208,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_embed(args) -> int:
+    if args.svg and args.dims != 2:
+        raise ConfigError("--svg requires --dims 2")
     matrix = dataset.load_matrix(args.matrix)
     emb = tasks.mds_embed(matrix, args.dims)
     header = ["id", *[f"c{i}" for i in range(args.dims)]]
@@ -216,8 +218,6 @@ def _cmd_embed(args) -> int:
     _write_table(args.out, header, rows)
     print(f"wrote {args.out}: {len(emb.ids)} groups in {args.dims}-D")
     if args.svg:
-        if args.dims != 2:
-            raise ConfigError("--svg requires --dims 2")
         colors = None
         if args.color_by:
             _, params = dataset.load_params(args.color_by)
@@ -347,7 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output predictions CSV")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("anomaly", help="order-statistic anomaly scores")
+    p = sub.add_parser("anomaly", help="order-statistic anomaly scores", description=(
+        "Score each test group by its KANOM-th smallest divergence to the training groups; "
+        "a test group that is also a training group (same id and points) counts its 0 to itself."))
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--kanom", type=int, default=5)

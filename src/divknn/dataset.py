@@ -205,7 +205,7 @@ def save_dataset(ds: Dataset, path) -> None:
     p.mkdir(parents=True, exist_ok=True)
     for g in ds.groups:
         stem_taken = f"{g.id}.csv" in RESERVED_FILES
-        if stem_taken or "/" in g.id or "\\" in g.id or g.id.startswith("."):
+        if stem_taken or not g.id or "/" in g.id or "\\" in g.id or g.id.startswith("."):
             raise DataFormatError(f"group id {g.id!r} cannot be used as a filename")
         with open(p / f"{g.id}.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")

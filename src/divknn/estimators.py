@@ -8,7 +8,8 @@ densities are averaged with gamma-ratio correction factors that make
 each term asymptotically unbiased; no density estimate is ever formed.
 
 Every matrix is a view of one directed table of estimates from row
-groups to column groups; symmetrizing averages it with its reverse.
+groups to column groups; symmetrizing averages it with its reverse. A
+group in both datasets is never paired with itself and its cell is 0.
 The sample-based table is filled one column at a time: the column
 group's index answers a single nu_k query over the stacked points of
 all its row groups, which is then sliced per pair.
@@ -261,66 +262,60 @@ def symmetrize(a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 # Pairwise matrices.
 
-def _divergence_table(rows, cols, column, symmetric: bool, *, square: bool = False) -> np.ndarray:
-    """The rows x cols table of directed divergences, symmetrized on request.
+def _divergence_table(ds_from: "Dataset", ds_to: "Dataset", prepare, column,
+                      symmetric: bool) -> np.ndarray:
+    """Directed divergences from ds_from's groups to ds_to's, symmetrized on request.
 
-    ``column(paired, col)`` gives the directed value from each item of
-    the list ``paired`` to col, in order, as a float or as the DivknnError
-    that pair raised. A square table (rows and cols are the same items)
-    pairs no item with itself, leaves its diagonal zero and is its own
-    reverse; a cross table builds the cols x rows reverse table to
-    average with. Columns are filled in turn, and a column with no
-    paired rows (a square table of one item) is skipped. Of several
-    failing pairs the first in row-major order raises, the forward
-    table's before the reverse table's.
+    ``prepare(group)`` gives a group's item (index and rho_k, or a fit),
+    ``column(paired, col)`` the directed value or DivknnError from each
+    item of ``paired`` to col. ds_from's groups are prepared first. A
+    group of ds_to with the id and bitwise-equal points of a group of
+    ds_from is that group: prepared once, never paired with itself, its
+    cell 0. The reverse table is the transpose when each column is the
+    row at its position, and is built otherwise. Of several failing
+    pairs the first in row-major order raises, the forward table's first.
     """
-    table = np.zeros((len(rows), len(cols)))
-    failures = {}
-    for j, col in enumerate(cols):
-        paired = [i for i in range(len(rows)) if not (square and i == j)]
-        if not paired:
-            continue
-        for i, value in zip(paired, column([rows[i] for i in paired], col)):
-            if isinstance(value, DivknnError):
-                failures[i, j] = value
-            else:
-                table[i, j] = value
-    if failures:
-        raise failures[min(failures)]
-    if not symmetric:
-        return table
-    other = table if square else _divergence_table(cols, rows, column, False)
-    return symmetrize(table, other.T)
-
-
-def _per_pair(directed):
-    """A table column function that calls directed(row, col) for each row."""
-    def column(paired, col):
-        values = []
-        for row in paired:
-            try:
-                values.append(directed(row, col))
-            except DivknnError as exc:
-                values.append(exc)
-        return values
-    return column
-
-
-def _check_same_dim(ds_from: "Dataset", ds_to: "Dataset") -> None:
     if ds_from.dim != ds_to.dim:
         raise ContractError(f"dataset dimensions differ: {ds_from.dim} vs {ds_to.dim}")
+    from_items = [prepare(g) for g in ds_from.groups]
+    shared = {g.id: (g.points.view(np.uint64), it) for g, it in zip(ds_from.groups, from_items)}
+    to_items = []
+    for g in ds_to.groups:
+        bits, item = shared.get(g.id, (None, None))
+        same = bits is not None and np.array_equal(bits, g.points.view(np.uint64))
+        to_items.append(item if same else prepare(g))
+
+    def directed(rows, cols):
+        table = np.zeros((len(rows), len(cols)))
+        failures = {}
+        for j, col in enumerate(cols):
+            paired = [i for i, row in enumerate(rows) if row is not col]
+            if not paired:
+                continue
+            for i, value in zip(paired, column([rows[i] for i in paired], col)):
+                if isinstance(value, DivknnError):
+                    failures[i, j] = value
+                else:
+                    table[i, j] = value
+        if failures:
+            raise failures[min(failures)]
+        return table
+
+    table = directed(from_items, to_items)
+    if not symmetric:
+        return table
+    square = len(from_items) == len(to_items) and all(f is t for f, t in zip(from_items, to_items))
+    return symmetrize(table, (table if square else directed(to_items, from_items)).T)
 
 
 def _sample_table(ds_from: "Dataset", ds_to: "Dataset", cfg: EstimatorConfig,
-                  workers: int, *, square: bool = False) -> np.ndarray:
+                  workers: int) -> np.ndarray:
     """The table of sample-based divergences from ds_from's groups to ds_to's.
 
-    Each group gets its index and rho_k once, ds_to's groups first; a
-    square table reuses them for its rows. Each column group then answers
-    one nu_k query over the stacked points of every row group paired with
-    it, and each pair reduces its own slice of nu_k as cfg asks. The
-    stacked queries of one column are a copy of at most the whole
-    dataset's points.
+    Each column group answers one nu_k query over the stacked points of
+    every row group paired with it, and each pair reduces its own slice
+    of nu_k as cfg asks. The stacked queries of one column are a copy of
+    at most the whole dataset's points.
     """
     k = cfg.k
     b = correction_factor(k, cfg.alpha) if cfg.kind == RENYI else math.nan
@@ -370,20 +365,17 @@ def _sample_table(ds_from: "Dataset", ds_to: "Dataset", cfg: EstimatorConfig,
     def column(paired, col):
         return [estimate(row, col, nu) for row, nu in zip(paired, cross_nu(paired, col[1]))]
 
-    to_items = [prepare(g) for g in ds_to.groups]
-    from_items = to_items if square else [prepare(g) for g in ds_from.groups]
-    return _divergence_table(from_items, to_items, column, cfg.symmetrize, square=square)
+    return _divergence_table(ds_from, ds_to, prepare, column, cfg.symmetrize)
 
 
 def divergence_matrix(ds: "Dataset", cfg: EstimatorConfig, *, workers: int = 1) -> DivergenceMatrix:
     """All pairwise divergences between the groups of a dataset.
 
-    Each group's within-sample distances are computed once and reused
-    across every pairing. With cfg.symmetrize the two directed values
-    are averaged into both cells; the diagonal is zero. Entries are
-    independent of each other and of ``workers``.
+    The cross matrix of ds with itself: each group's index and rho_k
+    are computed once and the diagonal is zero. Entries are independent
+    of each other and of ``workers``.
     """
-    return DivergenceMatrix(ds.ids, _sample_table(ds, ds, cfg, workers, square=True), cfg)
+    return DivergenceMatrix(ds.ids, _sample_table(ds, ds, cfg, workers), cfg)
 
 
 def cross_divergence_matrix(ds_from: "Dataset", ds_to: "Dataset",
@@ -392,8 +384,11 @@ def cross_divergence_matrix(ds_from: "Dataset", ds_to: "Dataset",
 
     Returns a len(ds_from) x len(ds_to) array ordered like the two
     datasets. With cfg.symmetrize each entry is the average of the two
-    directed estimates. Feeds the anomaly-scoring and classification
-    tasks, where rows are query groups and columns reference groups.
+    directed estimates. A group of ds_to with the id and bitwise-equal
+    points of a group of ds_from is that group: prepared once, its cell
+    exactly 0, so cross_divergence_matrix(ds, ds) is the divergence
+    matrix of ds. A reused id with other points is another group. Feeds
+    the anomaly-scoring and classification tasks, where rows are query
+    groups and columns reference groups.
     """
-    _check_same_dim(ds_from, ds_to)
     return _sample_table(ds_from, ds_to, cfg, workers)

@@ -195,6 +195,7 @@ def test_svg_needs_two_dims(tmp_path):
     assert run("embed", "--matrix", str(w), "--dims", "3",
                "--out", str(tmp_path / "c.csv"),
                "--svg", str(tmp_path / "c.svg")) == 1
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_degenerate_duplicates_exit_2_and_dedup_rescues(tmp_path):

@@ -100,7 +100,7 @@ def test_reserved_files_not_scanned_as_groups(tmp_path):
 
 
 def test_unusable_group_id_rejected_on_save(tmp_path):
-    for bad in ("labels", "a/b", ".hidden"):
+    for bad in ("labels", "a/b", ".hidden", ""):
         ds = Dataset((Group(bad, [[1.0]]),))
         with pytest.raises(DataFormatError):
             dsm.save_dataset(ds, tmp_path / "out")

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divknn import baselines
+from divknn import baselines, knn
 from divknn import estimators as est
 from divknn.dataset import Dataset, Group
 from divknn.errors import (
     ConfigError,
     ContractError,
     DegenerateDistanceError,
+    InsufficientSampleError,
     NonFiniteEstimateError,
 )
 
@@ -354,11 +355,59 @@ def test_matrix_entries_are_exact_pair_averages(cfg):
                                  est.EstimatorConfig("renyi", 0.8, 5, symmetrize=False),
                                  est.EstimatorConfig("l2", k=4)])
 def test_cross_matrix_with_itself_is_the_square_matrix(cfg):
-    # off the diagonal, both are views of the same directed table
+    # both are views of the same directed table; a group is never paired
+    # with itself, so the diagonal reads 0 in both
     ds = _toy_dataset(7, n=80)
-    off = ~np.eye(len(ds), dtype=bool)
     cross = est.cross_divergence_matrix(ds, ds, cfg)
-    assert np.array_equal(cross[off], est.divergence_matrix(ds, cfg).values[off])
+    assert np.array_equal(cross, est.divergence_matrix(ds, cfg).values)
+
+
+def _baseline_pair(cfg):
+    def pair(x, y):
+        p, q = baselines.fit_gaussian(x), baselines.fit_gaussian(y)
+        if cfg.kind == "renyi":
+            return baselines.gaussian_renyi(p, q, cfg.alpha)
+        return baselines.gaussian_l2(p, q)
+    return pair
+
+
+@pytest.mark.parametrize("route", ["sample", "baseline"])
+@pytest.mark.parametrize("cfg", [est.EstimatorConfig("renyi", 0.5, 5),
+                                 est.EstimatorConfig("renyi", 0.8, 5, symmetrize=False),
+                                 est.EstimatorConfig("l2", k=4)])
+def test_cross_matrix_of_overlapping_datasets(monkeypatch, route, cfg):
+    # test holds copies of the training groups g1 and g3, a group that
+    # reuses the id g2 with other points, and a new group h0
+    rng = _rng(12)
+    train = Dataset(tuple(Group(f"g{i}", rng.normal(float(i), 1.0, size=(70, 1)))
+                          for i in range(4)))
+    test = Dataset((Group("g1", train.groups[1].points.copy()),
+                    Group("g2", rng.normal(2.0, 1.0, size=(70, 1))),
+                    Group("g3", train.groups[3].points.copy()),
+                    Group("h0", rng.normal(0.5, 1.0, size=(75, 1)))))
+    if route == "sample":
+        build, pair = est.cross_divergence_matrix, _pair_estimate(cfg)
+        module, prepare = knn, "build_index"
+    else:
+        build, pair = baselines.baseline_cross_matrix, _baseline_pair(cfg)
+        module, prepare = baselines, "fit_gaussian"
+    calls = []
+    real = getattr(module, prepare)
+    monkeypatch.setattr(module, prepare, lambda points: calls.append(1) or real(points))
+    w = build(test, train, cfg)
+    monkeypatch.undo()
+    assert len(calls) == 6  # once per distinct group: g0-g3, the other g2 and h0
+    same = {(0, 1), (2, 3)}
+    for i, gi in enumerate(test.groups):
+        for j, gj in enumerate(train.groups):
+            if (i, j) in same:
+                assert w[i, j] == 0.0
+                continue
+            want = pair(gi.points, gj.points)
+            if cfg.symmetrize:
+                want = (want + pair(gj.points, gi.points)) / 2.0
+            assert w[i, j] == want
+    assert w[1, 2] != 0.0  # the reused id g2 names another group
 
 
 def test_symmetrized_cross_matrix_names_the_failing_reverse_direction():
@@ -372,11 +421,9 @@ def test_symmetrized_cross_matrix_names_the_failing_reverse_direction():
         est.cross_divergence_matrix(ds_from, ds_to, est.EstimatorConfig("renyi", 0.5, 5))
 
 
-def test_square_matrix_raises_the_first_failing_pair_in_row_major_order():
+def _three_clusters_d80():
     # a is a tight cluster, b a tighter one 1e-2 away, c a unit cloud 1e6
-    # away. a -> c (row 0, column 2) and b -> a (row 1, column 0) both
-    # underflow; row-major order meets a -> c first, a column-by-column
-    # fill meets b -> a first
+    # away. a -> c and b -> a underflow, a -> b does not
     rng = _rng(81)
     a = rng.normal(0.0, 1e-6, size=(200, 80))
     b = rng.normal(0.0, 1e-12, size=(200, 80))
@@ -387,9 +434,44 @@ def test_square_matrix_raises_the_first_failing_pair_in_row_major_order():
     for x, y in ((a, c), (b, a)):
         with pytest.raises(NonFiniteEstimateError):
             est.renyi_divergence(x, y, 5, 0.5)
-    ds = Dataset((Group("a", a), Group("b", b), Group("c", c)))
+    return Group("a", a), Group("b", b), Group("c", c)
+
+
+def test_square_matrix_raises_the_first_failing_pair_in_row_major_order():
+    # a -> c (row 0, column 2) and b -> a (row 1, column 0) both underflow;
+    # row-major order meets a -> c first, a column-by-column fill meets
+    # b -> a first
+    ds = Dataset(_three_clusters_d80())
     with pytest.raises(NonFiniteEstimateError, match="from group 'a' to 'c'"):
         est.divergence_matrix(ds, est.EstimatorConfig("renyi", 0.5, 5, symmetrize=False))
+
+
+def test_overlapping_cross_matrix_raises_the_first_failing_reverse_pair():
+    # rows a, c and columns a, b share a: every forward pair is finite.
+    # The reverse table (rows a, b; columns a, c) fails at a -> c (row 0,
+    # column 1) and b -> a (row 1, column 0), and row-major order meets
+    # a -> c first
+    a, b, c = _three_clusters_d80()
+    ds_from, ds_to = Dataset((a, c)), Dataset((a, b))
+    forward = est.cross_divergence_matrix(
+        ds_from, ds_to, est.EstimatorConfig("renyi", 0.5, 5, symmetrize=False))
+    assert np.isfinite(forward).all() and forward[0, 0] == 0.0
+    with pytest.raises(NonFiniteEstimateError, match="from group 'a' to 'c'"):
+        est.cross_divergence_matrix(ds_from, ds_to, est.EstimatorConfig("renyi", 0.5, 5))
+
+
+@pytest.mark.parametrize("build, to_points, error", [
+    # both groups are too small for k = 5
+    (est.cross_divergence_matrix, np.arange(3.0)[:, None], "group 'z' has 1 points"),
+    # a fit error does not name its group, so the column group fails
+    # another way: all its points are equal
+    (baselines.baseline_cross_matrix, np.zeros((30, 1)), "gaussian fit needs at least 2"),
+])
+def test_row_group_preparation_errors_raise_first(build, to_points, error):
+    ds_from = Dataset((Group("z", [[0.0]]),))
+    ds_to = Dataset((Group("a", to_points),))
+    with pytest.raises(InsufficientSampleError, match=error):
+        build(ds_from, ds_to, est.EstimatorConfig("renyi", 0.5, 5))
 
 
 def test_degenerate_nu_names_the_point_within_its_own_group():

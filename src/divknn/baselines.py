@@ -146,7 +146,7 @@ def _directed_fit(cfg):
             return gaussian_renyi(p, q, cfg.alpha) if cfg.kind == RENYI else gaussian_l2(p, q)
         except DivknnError as exc:
             return exc
-    return lambda paired, col: [directed(row, col) for row in paired]
+    return lambda paired, col, workers: [directed(row, col) for row in paired]
 
 
 def baseline_matrix(ds, cfg):
@@ -167,5 +167,10 @@ def baseline_cross_matrix(ds_from, ds_to, cfg) -> np.ndarray:
     ds_to with the id and bitwise-equal points of a group of ds_from is
     fitted once and its cell is exactly 0.
     """
-    return _divergence_table(ds_from, ds_to, lambda g: fit_gaussian(g.points),
-                             _directed_fit(cfg), cfg.symmetrize)
+    def prepare(g, workers):
+        try:
+            return fit_gaussian(g.points)
+        except DivknnError as exc:
+            raise type(exc)(f"group '{g.id}': {exc}") from None
+
+    return _divergence_table(ds_from, ds_to, prepare, _directed_fit(cfg), cfg.symmetrize, 1)

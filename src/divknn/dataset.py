@@ -199,20 +199,23 @@ def save_dataset(ds: Dataset, path) -> None:
 
     Point values are written in shortest round-trip decimal form, so
     load(save(ds)) reproduces them exactly. Labels, when any group has
-    one, go to labels.csv; every group must then be labeled.
+    one, go to labels.csv; every group must then be labeled. Every id
+    and label is checked before anything is written.
     """
-    p = Path(path)
-    p.mkdir(parents=True, exist_ok=True)
     for g in ds.groups:
         stem_taken = f"{g.id}.csv" in RESERVED_FILES
         if stem_taken or not g.id or "/" in g.id or "\\" in g.id or g.id.startswith("."):
             raise DataFormatError(f"group id {g.id!r} cannot be used as a filename")
+    labels = ds.require_labels() if any(g.label is not None for g in ds.groups) else None
+    p = Path(path)
+    p.mkdir(parents=True, exist_ok=True)
+    for g in ds.groups:
         with open(p / f"{g.id}.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             for row in g.points:
                 writer.writerow([repr(float(v)) for v in row])
-    if any(g.label is not None for g in ds.groups):
-        save_labels(p / "labels.csv", dict(zip(ds.ids, ds.require_labels())))
+    if labels is not None:
+        save_labels(p / "labels.csv", dict(zip(ds.ids, labels)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,22 @@ group's index answers a single nu_k query over the stacked points of
 all its row groups, which is then sliced per pair.
 
 All estimation functions are pure given immutable inputs. The optional
-``workers`` argument only parallelizes the neighbor queries and never
-changes any value.
+``workers`` argument never changes any value. The pair functions pass
+it to the neighbor queries. A matrix build maps its group preparations
+and its columns over ``workers`` threads on every route (sorted window,
+kd-tree and brute force); each query in a thread then runs on one
+thread.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -262,50 +270,84 @@ def symmetrize(a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 # Pairwise matrices.
 
+def _thread_count(workers) -> int:
+    """The threads that ``workers`` asks for: every CPU at -1, else workers."""
+    if not (isinstance(workers, (int, np.integer)) and (workers == -1 or workers >= 1)):
+        raise ConfigError(f"workers must be -1 or a positive integer, got {workers!r}")
+    return (os.cpu_count() or 1) if workers == -1 else int(workers)
+
+
 def _divergence_table(ds_from: "Dataset", ds_to: "Dataset", prepare, column,
-                      symmetric: bool) -> np.ndarray:
+                      symmetric: bool, workers: int) -> np.ndarray:
     """Directed divergences from ds_from's groups to ds_to's, symmetrized on request.
 
-    ``prepare(group)`` gives a group's item (index and rho_k, or a fit),
-    ``column(paired, col)`` the directed value or DivknnError from each
-    item of ``paired`` to col. ds_from's groups are prepared first. A
-    group of ds_to with the id and bitwise-equal points of a group of
-    ds_from is that group: prepared once, never paired with itself, its
-    cell 0. The reverse table is the transpose when each column is the
-    row at its position, and is built otherwise. Of several failing
-    pairs the first in row-major order raises, the forward table's first.
+    ``prepare(group, workers)`` gives a group's item (index and rho_k, or
+    a fit), ``column(paired, col, workers)`` the directed value or
+    DivknnError from each item of ``paired`` to col. ds_from's groups
+    are prepared first. A group of ds_to with the id and bitwise-equal
+    points of a group of ds_from is that group: prepared once, never
+    paired with itself, its cell 0. The reverse table is the transpose
+    when each column is the row at its position, and is built otherwise.
+    Of several failing pairs the first in row-major order raises, the
+    forward table's first.
+
+    Preparations and columns are mapped over one pool of at most
+    ``workers`` threads and no more than the larger dataset has
+    groups. Calls in the pool get workers=1, so that threads do not
+    multiply inside the neighbor queries; a step with one item, or a
+    build on one thread, calls with ``workers`` itself. Results are
+    used in input order, and the first exception in that order raises.
+    Every call sees the caller's numpy error state.
     """
+    threads = min(_thread_count(workers), max(len(ds_from.groups), len(ds_to.groups)))
     if ds_from.dim != ds_to.dim:
         raise ContractError(f"dataset dimensions differ: {ds_from.dim} vs {ds_to.dim}")
-    from_items = [prepare(g) for g in ds_from.groups]
-    shared = {g.id: (g.points.view(np.uint64), it) for g, it in zip(ds_from.groups, from_items)}
-    to_items = []
-    for g in ds_to.groups:
-        bits, item = shared.get(g.id, (None, None))
-        same = bits is not None and np.array_equal(bits, g.points.view(np.uint64))
-        to_items.append(item if same else prepare(g))
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
 
-    def directed(rows, cols):
-        table = np.zeros((len(rows), len(cols)))
-        failures = {}
-        for j, col in enumerate(cols):
-            paired = [i for i, row in enumerate(rows) if row is not col]
-            if not paired:
-                continue
-            for i, value in zip(paired, column([rows[i] for i in paired], col)):
-                if isinstance(value, DivknnError):
-                    failures[i, j] = value
-                else:
-                    table[i, j] = value
-        if failures:
-            raise failures[min(failures)]
-        return table
+        def run(fn, *args):
+            """fn(*a, w) for each a in zip(*args), in order."""
+            if pool is None or len(args[0]) < 2:
+                return list(map(fn, *args, repeat(workers)))
+            # Each call runs in a copy of the caller's context, which
+            # holds numpy's error state (np.errstate).
+            context = contextvars.copy_context()
+            return list(pool.map(lambda *a: context.copy().run(fn, *a), *args, repeat(1)))
 
-    table = directed(from_items, to_items)
-    if not symmetric:
-        return table
-    square = len(from_items) == len(to_items) and all(f is t for f, t in zip(from_items, to_items))
-    return symmetrize(table, (table if square else directed(to_items, from_items)).T)
+        from_items = run(prepare, ds_from.groups)
+        shared = {g.id: (g.points.view(np.uint64), it)
+                  for g, it in zip(ds_from.groups, from_items)}
+
+        def to_item(g, w):
+            bits, item = shared.get(g.id, (None, None))
+            if bits is not None and np.array_equal(bits, g.points.view(np.uint64)):
+                return item
+            return prepare(g, w)
+
+        to_items = run(to_item, ds_to.groups)
+
+        def directed(rows, cols):
+            paired = [[i for i, row in enumerate(rows) if row is not col] for col in cols]
+            used = [j for j, p in enumerate(paired) if p]
+            values = run(column, [[rows[i] for i in paired[j]] for j in used],
+                         [cols[j] for j in used])
+            table = np.zeros((len(rows), len(cols)))
+            failures = {}
+            for j, column_values in zip(used, values):
+                for i, value in zip(paired[j], column_values):
+                    if isinstance(value, DivknnError):
+                        failures[i, j] = value
+                    else:
+                        table[i, j] = value
+            if failures:
+                raise failures[min(failures)]
+            return table
+
+        table = directed(from_items, to_items)
+        if not symmetric:
+            return table
+        square = len(from_items) == len(to_items) and all(
+            f is t for f, t in zip(from_items, to_items))
+        return symmetrize(table, (table if square else directed(to_items, from_items)).T)
 
 
 def _sample_table(ds_from: "Dataset", ds_to: "Dataset", cfg: EstimatorConfig,
@@ -315,12 +357,13 @@ def _sample_table(ds_from: "Dataset", ds_to: "Dataset", cfg: EstimatorConfig,
     Each column group answers one nu_k query over the stacked points of
     every row group paired with it, and each pair reduces its own slice
     of nu_k as cfg asks. The stacked queries of one column are a copy of
-    at most the whole dataset's points.
+    at most the whole dataset's points, and each thread holds one
+    column's copy at a time.
     """
     k = cfg.k
     b = correction_factor(k, cfg.alpha) if cfg.kind == RENYI else math.nan
 
-    def prepare(g):
+    def prepare(g, workers):
         if g.points.shape[0] < k + 1:
             raise InsufficientSampleError(
                 f"group '{g.id}' has {g.points.shape[0]} points; k={k} needs "
@@ -334,7 +377,7 @@ def _sample_table(ds_from: "Dataset", ds_to: "Dataset", cfg: EstimatorConfig,
             raise DegenerateDistanceError(f"group '{g.id}': {exc}") from None
         return g, index, rho
 
-    def cross_nu(paired, index):
+    def cross_nu(paired, index, workers):
         """nu_k of each paired group against index, or the error its own query raises."""
         sizes = [g.points.shape[0] for g, _, _ in paired]
         try:
@@ -345,7 +388,7 @@ def _sample_table(ds_from: "Dataset", ds_to: "Dataset", cfg: EstimatorConfig,
                 return [exc]
             # Query each group on its own, so that the error names the
             # failing point by its index within its group.
-            return [cross_nu([row], index)[0] for row in paired]
+            return [cross_nu([row], index, workers)[0] for row in paired]
         return np.split(nu, np.cumsum(sizes[:-1]))
 
     def estimate(row, col, nu):
@@ -362,10 +405,11 @@ def _sample_table(ds_from: "Dataset", ds_to: "Dataset", cfg: EstimatorConfig,
         except NonFiniteEstimateError as exc:
             return NonFiniteEstimateError(f"from group '{g_from.id}' to '{g_to.id}': {exc}")
 
-    def column(paired, col):
-        return [estimate(row, col, nu) for row, nu in zip(paired, cross_nu(paired, col[1]))]
+    def column(paired, col, workers):
+        return [estimate(row, col, nu)
+                for row, nu in zip(paired, cross_nu(paired, col[1], workers))]
 
-    return _divergence_table(ds_from, ds_to, prepare, column, cfg.symmetrize)
+    return _divergence_table(ds_from, ds_to, prepare, column, cfg.symmetrize, workers)
 
 
 def divergence_matrix(ds: "Dataset", cfg: EstimatorConfig, *, workers: int = 1) -> DivergenceMatrix:
@@ -373,7 +417,10 @@ def divergence_matrix(ds: "Dataset", cfg: EstimatorConfig, *, workers: int = 1) 
 
     The cross matrix of ds with itself: each group's index and rho_k
     are computed once and the diagonal is zero. Entries are independent
-    of each other and of ``workers``.
+    of each other and of ``workers``, which must be -1 (every CPU) or a
+    positive thread count: the groups' preparations and the matrix
+    columns are spread over that many threads on every neighbor route,
+    never more threads than groups.
     """
     return DivergenceMatrix(ds.ids, _sample_table(ds, ds, cfg, workers), cfg)
 
@@ -389,6 +436,7 @@ def cross_divergence_matrix(ds_from: "Dataset", ds_to: "Dataset",
     exactly 0, so cross_divergence_matrix(ds, ds) is the divergence
     matrix of ds. A reused id with other points is another group. Feeds
     the anomaly-scoring and classification tasks, where rows are query
-    groups and columns reference groups.
+    groups and columns reference groups. ``workers`` threads the build
+    as in divergence_matrix.
     """
     return _sample_table(ds_from, ds_to, cfg, workers)

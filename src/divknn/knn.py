@@ -32,7 +32,9 @@ the page faults of every new temporary cost more than the arithmetic.
 Blocks of a few hundred KiB are mostly reused from the heap: a
 divergence matrix of 25 one-dimensional groups of 2000 points took
 about 180,000 minor page faults with unblocked temporaries, 200,000
-with 4 MiB blocks and 500 with 256 KiB blocks.
+with 4 MiB blocks and 500 with 256 KiB blocks. The budget holds per
+query: threads that query at the same time, as a threaded divergence
+matrix does, hold up to threads x ``_BLOCK_BYTES`` of temporaries.
 
 Squared distances are used internally; square roots are taken once at
 the boundary. All results are exact. The sorted-window route and the

@@ -177,6 +177,16 @@ def test_baseline_cross_matrix_matches_pairs():
     assert w[0, 1] == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("points, error, message", [
+    ([[1.0]], InsufficientSampleError, "group 'a': gaussian fit needs at least 2 points, got 1"),
+    (np.zeros((5, 1)), ConfigError, "group 'a': all points identical"),
+])
+def test_baseline_fit_errors_name_the_group(points, error, message):
+    ds = Dataset((Group("a", points), Group("b", _rng(1).normal(size=(30, 1)))))
+    with pytest.raises(error, match=message):
+        bl.baseline_cross_matrix(_ds(), ds, EstimatorConfig("renyi", 0.5, 20))
+
+
 @pytest.mark.parametrize("cfg", [EstimatorConfig("renyi", 0.5, 20),
                                  EstimatorConfig("l2", k=20)])
 def test_baseline_matrices_are_exact_pair_averages(cfg):

@@ -75,6 +75,17 @@ def test_estimate_gaussian_baseline(tmp_path):
     assert dsm.load_matrix(w).values.max() > 0
 
 
+def test_gaussian_baseline_fit_error_names_the_group(tmp_path, capsys):
+    data = tmp_path / "tiny"
+    data.mkdir()
+    (data / "a.csv").write_text("1.0\n")
+    (data / "b.csv").write_text("0.5\n1.5\n2.0\n")
+    assert run("estimate", "--input", str(data), "--out", str(tmp_path / "w.csv"),
+               "--baseline", "gaussian") == 1
+    assert ("error: group 'a': gaussian fit needs at least 2 points, got 1"
+            in capsys.readouterr().err)
+
+
 def _class_dataset(tmp_path, seed=0):
     from divknn import synth
     ds, _ = synth.gen_gaussian_classes(seed=seed, n_classes=2,

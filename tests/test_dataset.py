@@ -106,6 +106,24 @@ def test_unusable_group_id_rejected_on_save(tmp_path):
             dsm.save_dataset(ds, tmp_path / "out")
 
 
+@pytest.mark.parametrize("groups", [
+    # a bad id sorted after a good one
+    (Group("a", [[1.0]]), Group("labels", [[2.0]])),
+    # a labeled group beside an unlabeled one
+    (Group("a", [[1.0]], "x"), Group("b", [[2.0]])),
+])
+def test_failed_save_writes_nothing(tmp_path, groups):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep.txt").write_text("kept\n")
+    with pytest.raises(DataFormatError):
+        dsm.save_dataset(Dataset(groups), out)
+    assert sorted(f.name for f in out.iterdir()) == ["keep.txt"]
+    with pytest.raises(DataFormatError):
+        dsm.save_dataset(Dataset(groups), tmp_path / "new")
+    assert not (tmp_path / "new").exists()
+
+
 def test_missing_path_raises():
     with pytest.raises(DataFormatError):
         dsm.load_dataset("/nonexistent/dataset/path")

@@ -1,6 +1,8 @@
 """Divergence estimators: correction factor, hand cases, invariances."""
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -210,9 +212,11 @@ def test_l2_overflow_raises_not_zero():
     with pytest.raises(NonFiniteEstimateError), np.errstate(all="ignore"):
         est.l2_divergence(x, y, 5)
     ds = Dataset((Group("x", x), Group("y", y)))
-    with pytest.raises(NonFiniteEstimateError, match="from group 'x' to 'y'"), \
-            np.errstate(all="ignore"):
-        est.divergence_matrix(ds, est.EstimatorConfig("l2", k=5))
+    # the caller's error state holds in a threaded build too
+    for workers in (1, 2):
+        with pytest.raises(NonFiniteEstimateError, match="from group 'x' to 'y'"), \
+                np.errstate(all="ignore"):
+            est.divergence_matrix(ds, est.EstimatorConfig("l2", k=5), workers=workers)
 
 
 def test_renyi_underflow_raises():
@@ -437,16 +441,19 @@ def _three_clusters_d80():
     return Group("a", a), Group("b", b), Group("c", c)
 
 
-def test_square_matrix_raises_the_first_failing_pair_in_row_major_order():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_square_matrix_raises_the_first_failing_pair_in_row_major_order(workers):
     # a -> c (row 0, column 2) and b -> a (row 1, column 0) both underflow;
     # row-major order meets a -> c first, a column-by-column fill meets
     # b -> a first
     ds = Dataset(_three_clusters_d80())
     with pytest.raises(NonFiniteEstimateError, match="from group 'a' to 'c'"):
-        est.divergence_matrix(ds, est.EstimatorConfig("renyi", 0.5, 5, symmetrize=False))
+        est.divergence_matrix(ds, est.EstimatorConfig("renyi", 0.5, 5, symmetrize=False),
+                              workers=workers)
 
 
-def test_overlapping_cross_matrix_raises_the_first_failing_reverse_pair():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_overlapping_cross_matrix_raises_the_first_failing_reverse_pair(workers):
     # rows a, c and columns a, b share a: every forward pair is finite.
     # The reverse table (rows a, b; columns a, c) fails at a -> c (row 0,
     # column 1) and b -> a (row 1, column 0), and row-major order meets
@@ -457,21 +464,35 @@ def test_overlapping_cross_matrix_raises_the_first_failing_reverse_pair():
         ds_from, ds_to, est.EstimatorConfig("renyi", 0.5, 5, symmetrize=False))
     assert np.isfinite(forward).all() and forward[0, 0] == 0.0
     with pytest.raises(NonFiniteEstimateError, match="from group 'a' to 'c'"):
-        est.cross_divergence_matrix(ds_from, ds_to, est.EstimatorConfig("renyi", 0.5, 5))
+        est.cross_divergence_matrix(ds_from, ds_to, est.EstimatorConfig("renyi", 0.5, 5),
+                                    workers=workers)
 
 
+def _with_workers(build, workers):
+    """build at the given workers. The baseline builder always runs on
+    one thread, so it is made to pass workers to the table builder."""
+    if build is not baselines.baseline_cross_matrix:
+        return lambda *args: build(*args, workers=workers)
+
+    def run(*args):
+        real = est._divergence_table
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(baselines, "_divergence_table", lambda *a: real(*a[:-1], workers))
+            return build(*args)
+    return run
+
+
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("build, to_points, error", [
-    # both groups are too small for k = 5
+    # both groups are too small: for k = 5, or for a Gaussian fit
     (est.cross_divergence_matrix, np.arange(3.0)[:, None], "group 'z' has 1 points"),
-    # a fit error does not name its group, so the column group fails
-    # another way: all its points are equal
-    (baselines.baseline_cross_matrix, np.zeros((30, 1)), "gaussian fit needs at least 2"),
+    (baselines.baseline_cross_matrix, [[1.0]], "group 'z': gaussian fit needs at least 2"),
 ])
-def test_row_group_preparation_errors_raise_first(build, to_points, error):
-    ds_from = Dataset((Group("z", [[0.0]]),))
-    ds_to = Dataset((Group("a", to_points),))
+def test_row_group_preparation_errors_raise_first(build, to_points, error, workers):
+    ds_from = Dataset((Group("z", [[0.0]]), Group("z2", np.arange(40.0)[:, None])))
+    ds_to = Dataset((Group("a", to_points), Group("a2", np.arange(40.0)[:, None] + 0.5)))
     with pytest.raises(InsufficientSampleError, match=error):
-        build(ds_from, ds_to, est.EstimatorConfig("renyi", 0.5, 5))
+        _with_workers(build, workers)(ds_from, ds_to, est.EstimatorConfig("renyi", 0.5, 5))
 
 
 def test_degenerate_nu_names_the_point_within_its_own_group():
@@ -509,3 +530,99 @@ def test_one_group_matrix_is_zero(build, cfg):
     W = build(ds, cfg)
     assert W.ids == ("a",)
     assert np.array_equal(W.values, [[0.0]])
+
+
+# ---------------------------------------------------------------------------
+# Threaded matrix builds.
+
+def _assert_pair_values(w, ds_from, ds_to, pair, cfg):
+    """Each cell of w is the pair API's value, 0 where both name one group."""
+    for i, gi in enumerate(ds_from.groups):
+        for j, gj in enumerate(ds_to.groups):
+            if gi.id == gj.id and np.array_equal(gi.points, gj.points):
+                assert w[i, j] == 0.0
+                continue
+            want = pair(gi.points, gj.points)
+            if cfg.symmetrize:
+                want = (want + pair(gj.points, gi.points)) / 2.0
+            assert w[i, j] == want
+
+
+@pytest.mark.parametrize("workers", [1, 2, -1])
+@pytest.mark.parametrize("cfg", [est.EstimatorConfig("renyi", 0.5, 5),
+                                 est.EstimatorConfig("l2", k=4, symmetrize=False)])
+@pytest.mark.parametrize("d", [1, 2, 20])  # sorted window, kd-tree, brute force
+def test_threaded_matrices_equal_the_pair_api(d, cfg, workers):
+    rng = _rng(90 + d)
+    train = Dataset(tuple(Group(f"g{i}", rng.normal(0.3 * i, 1.0, size=(50 + 5 * i, d)))
+                          for i in range(4)))
+    other = Dataset(tuple(Group(f"h{i}", rng.normal(0.5 - 0.2 * i, 1.0, size=(45, d)))
+                          for i in range(3)))
+    # shares g1 with train, and reuses the id g2 with other points
+    overlap = Dataset((Group("g1", train.groups[1].points.copy()),
+                       Group("g2", rng.normal(0.0, 1.0, size=(55, d))),
+                       other.groups[0]))
+    pair, fit_pair = _pair_estimate(cfg), _baseline_pair(cfg)
+    square = _with_workers(est.divergence_matrix, workers)(train, cfg)
+    _assert_pair_values(square.values, train, train, pair, cfg)
+    for ds in (other, overlap):
+        _assert_pair_values(_with_workers(est.cross_divergence_matrix, workers)(ds, train, cfg),
+                            ds, train, pair, cfg)
+        _assert_pair_values(_with_workers(baselines.baseline_cross_matrix, workers)(ds, train, cfg),
+                            ds, train, fit_pair, cfg)
+
+
+def test_pool_has_at_most_one_thread_per_group(monkeypatch):
+    sizes = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(est, "ThreadPoolExecutor", RecordingPool)
+    ds, one = _toy_dataset(10, n=40), Dataset((Group("h", _rng(11).normal(size=(40, 1))),))
+    cfg = est.EstimatorConfig("renyi", 0.5, 5)
+    want = est.divergence_matrix(ds, cfg).values
+    cpus = os.cpu_count() or 1
+    for workers, size in ((1, 1), (2, 2), (10**9, 3), (-1, min(cpus, 3))):
+        sizes.clear()
+        assert np.array_equal(est.divergence_matrix(ds, cfg, workers=workers).values, want)
+        assert sizes == ([size] if size > 1 else [])
+    # a cross matrix takes the larger of its two group counts
+    sizes.clear()
+    est.cross_divergence_matrix(one, ds, cfg, workers=10**9)
+    assert sizes == [3]
+    # two one-group datasets need no pool
+    sizes.clear()
+    est.cross_divergence_matrix(one, Dataset((ds.groups[0],)), cfg, workers=10**9)
+    assert sizes == []
+
+
+def test_queries_in_the_pool_run_on_one_thread(monkeypatch):
+    # two column threads must not each start workers kd-tree threads; a
+    # build with nothing to spread passes workers on to its queries
+    seen = []
+    for name in ("kth_nn_within", "kth_nn_cross"):
+        real = getattr(knn, name)
+        monkeypatch.setattr(knn, name, lambda *a, _real=real, **kw:
+                            seen.append(kw["workers"]) or _real(*a, **kw))
+    ds = Dataset(tuple(Group(f"g{i}", _rng(i).normal(size=(40, 2))) for i in range(3)))
+    cfg = est.EstimatorConfig("renyi", 0.5, 5)
+    est.divergence_matrix(ds, cfg, workers=-1)
+    assert len(seen) == 6 and set(seen) == ({1} if (os.cpu_count() or 1) > 1 else {-1})
+    seen.clear()
+    est.cross_divergence_matrix(Dataset(ds.groups[:1]), Dataset(ds.groups[1:2]), cfg, workers=-1)
+    assert seen == [-1] * 4
+
+
+@pytest.mark.parametrize("workers", [0, -2, 1.5, None, "2"])
+@pytest.mark.parametrize("build", [est.divergence_matrix,
+                                   lambda ds, cfg, workers: est.cross_divergence_matrix(
+                                       ds, ds, cfg, workers=workers)])
+def test_bad_workers_rejected_before_any_preparation(monkeypatch, build, workers):
+    calls = []
+    monkeypatch.setattr(knn, "build_index", lambda points: calls.append(1))
+    with pytest.raises(ConfigError, match="workers must be -1 or a positive integer"):
+        build(_toy_dataset(13, n=40), est.EstimatorConfig("renyi", 0.5, 5), workers=workers)
+    assert calls == []

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from divknn import knn
+from divknn import estimators, knn
+from divknn.dataset import Dataset, Group
 from divknn.errors import DegenerateDistanceError, DivknnError, InsufficientSampleError
 
 
@@ -229,6 +230,30 @@ def test_brute_memory_stays_within_budget(monkeypatch):
             monkeypatch.undo()
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         assert peak <= 4 * budget
+
+
+def test_threaded_matrix_memory_stays_within_twice_the_budget(monkeypatch):
+    # a matrix build at workers=2 queries two columns at a time, so it may
+    # hold twice one query's temporaries and no more. Unblocked, a column's
+    # brute-force difference would be 230 MB and each sorted-window
+    # temporary 32 MB
+    rng = _rng(7)
+    budget = 2**20
+    for d, n, k in ((40, 600, 5), (1, 5000, 200)):
+        ds = Dataset(tuple(Group(f"g{i}", rng.normal(0.2 * i, 1.0, size=(n, d)))
+                           for i in range(3)))
+        cfg = estimators.EstimatorConfig("renyi", 0.5, k)
+        want = estimators.divergence_matrix(ds, cfg).values
+        monkeypatch.setattr(knn, "_BLOCK_BYTES", budget)
+        tracemalloc.start()
+        try:
+            got = estimators.divergence_matrix(ds, cfg, workers=2).values
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            monkeypatch.undo()
+        assert np.array_equal(got, want)
+        assert peak <= 2 * 4 * budget
 
 
 def test_high_dim_falls_back_to_brute():

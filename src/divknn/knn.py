@@ -15,7 +15,19 @@ built:
   contiguous run of the sorted sample, so one binary search and a
   2k-wide gather find them with no tree;
 * 2 <= d <= 15, kd-tree: a balanced ``scipy.spatial.cKDTree``;
-* d > 15, brute force: all pairwise distances.
+* d > 15, brute force, screened: with the points centered on their
+  mean c, ||p - c||^2 - 2 (q - c).(p - c), one small matrix product per
+  block of query rows, picks the kq + 8 most promising points per row
+  (kq the largest rank asked for). Their squared distances are then
+  recomputed exactly as the brute-force oracle computes them. A row
+  keeps them when the screen's next value, plus ||q - c||^2 and less a
+  margin that bounds the rounding of the centering, of the screen and
+  of the oracle, is at least the recomputed kq-th value: no other point
+  can then be nearer as the oracle computes it. Every other row, such as
+  one whose candidates tie with the next point within the margin or
+  whose centered norms overflow, is answered by the oracle itself. So
+  the route is bitwise the oracle, which ``brute_kth_nn_within`` and
+  ``brute_kth_nn_cross`` still run unscreened.
 
 A route returns only the neighbor ranks its caller reads, not the whole
 sorted table of the nearest distances: the within-sample query reads
@@ -64,6 +76,14 @@ LEAF_SIZE = 16
 # each route's temporary per row.
 _BLOCK_BYTES = 256 * 2**10
 
+# Candidates the d > 15 screen keeps beyond the largest rank asked for.
+_SCREEN_EXTRA = 8
+
+# OpenBLAS runs an M x K by K x N matrix product on MNK / 2**18 threads,
+# rounded down: on one thread while MNK < 2**19. The screen's products
+# stay below that.
+_ONE_THREAD_PRODUCT = 2**19
+
 
 def _as_points(points, name: str = "points") -> np.ndarray:
     arr = np.ascontiguousarray(points, dtype=np.float64)
@@ -84,22 +104,29 @@ class NeighborIndex:
     * d = 1: the sorted coordinates, a 1-D array searched by sorted window;
     * 2 <= d <= 15: a balanced kd-tree (median split on the widest-spread
       coordinate, leaf size 16);
-    * d > 15: None, and queries run brute force.
+    * d > 15: None, and queries run brute force: a matrix-product screen
+      per block, an exact recompute of its candidates, and the unscreened
+      oracle for each row whose candidates a rounding margin cannot
+      certify, so the distances are bitwise the oracle's. ``screen``
+      then holds the points centered on their mean, a second N x d
+      array, for the screen.
 
     A query asks for a few neighbor ranks and gets one column per rank;
     the sorted-window and brute-force routes answer it in blocks of rows
     within ``_BLOCK_BYTES`` of temporaries. Safe for concurrent queries.
     """
 
-    __slots__ = ("points", "tree")
+    __slots__ = ("points", "tree", "screen")
 
     def __init__(self, points):
         pts = _as_points(points)
         self.points = pts
+        self.screen = None
         if pts.shape[1] == 1:
             self.tree = np.sort(pts[:, 0])
         elif pts.shape[1] > BRUTE_FORCE_DIM:
             self.tree = None
+            self.screen = _Screen(pts)
         else:
             self.tree = cKDTree(pts, leafsize=LEAF_SIZE, balanced_tree=True)
 
@@ -115,16 +142,21 @@ class NeighborIndex:
         """Distances to the indexed points of the given 1-based neighbor
         ranks (ascending, at most the index size), one column per rank."""
         if self.tree is None:
-            return _brute_rank_distances(queries, self.points, ranks)
+            return _screened_rank_distances(queries, self.points, self.screen, ranks)
         if self.dim == 1:
             return _window_rank_distances(queries[:, 0], self.tree, ranks)
         return self.tree.query(queries, k=list(ranks), workers=workers)[0]
 
 
-def _in_blocks(n: int, row_bytes: int, ncols: int, block) -> np.ndarray:
+def _in_blocks(n: int, row_bytes: int, ncols: int, block,
+               max_rows: int | None = None) -> np.ndarray:
     """The n x ncols table filled by ``block(rows)``, one slice of rows at
-    a time, as many as keep row_bytes per row within _BLOCK_BYTES."""
-    step = max(1, _BLOCK_BYTES // row_bytes)
+    a time: as many as keep row_bytes per row within _BLOCK_BYTES, at
+    most max_rows if given, and at least one."""
+    step = _BLOCK_BYTES // row_bytes
+    if max_rows is not None:
+        step = min(step, max_rows)
+    step = max(1, step)
     out = np.empty((n, ncols))
     for start in range(0, n, step):
         rows = slice(start, start + step)
@@ -155,6 +187,114 @@ def _window_rank_distances(q: np.ndarray, line: np.ndarray, ranks: tuple) -> np.
         return np.sqrt(d2[:, cols])
 
     return _in_blocks(q.shape[0], w * 8, len(ranks), block)
+
+
+class _Screen:
+    """The d > 15 screen's copy of the indexed points: their mean
+    ``center``, the points less it (``centered``) and those rows' squared
+    norms (``norms``).
+
+    Centering keeps the screen's rounding margin, which grows with the
+    norms, on the scale of the points' spread rather than of their
+    distance from the origin. Where the mean or a norm overflows, the
+    margin is infinite or NaN and every row falls back to the oracle.
+    """
+
+    __slots__ = ("center", "centered", "norms")
+
+    def __init__(self, points: np.ndarray):
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.center = points.mean(axis=0)
+            self.centered = points - self.center
+            self.norms = np.einsum("ij,ij->i", self.centered, self.centered)
+
+
+def _screened_rank_distances(queries: np.ndarray, points: np.ndarray, screen: _Screen,
+                             ranks: tuple) -> np.ndarray:
+    """Route for d > 15: a matrix-product screen, then the brute-force
+    arithmetic on a few candidates; bitwise equal to _brute_rank_distances.
+
+    With q and p centered on screen.center, ||p||^2 - 2 q.p ranks the
+    points for each query row of a block, and its kq + _SCREEN_EXTRA
+    smallest are the candidates (kq the largest rank). The screen's next
+    value plus ||q||^2 is the row's boundary, and (4d + 16) 2**-53
+    (||q||^2 + max ||p||^2) + (4d + 16) tiny, centered norms again, its
+    margin. That bounds, to first order in 2**-53, the rounding of the
+    centering (4), of the dot products and both norms (2d + 4), of the
+    brute-force sums (2d + 4) and of boundary less margin (2), 4d + 14
+    in all, for _certified_candidates. Rows it does not certify are
+    answered by _brute_rank_distances, and so is a sample of at most
+    kq + _SCREEN_EXTRA points, which has nothing to screen.
+
+    A block's row holds its centered query twice (d values each), N
+    screen values and N partition indices, then its candidates: an index
+    and d + 2 values each. A block also has fewer than
+    _ONE_THREAD_PRODUCT / (N d) rows, at least one, so that OpenBLAS
+    runs its product on one thread: a threaded product waits for a
+    second core, and its time swings with the load on the cores. On 2
+    shared cores, a 7 x 64 by 64 x 2000 product took up to 8 ms threaded
+    and 0.15 ms on one thread, and 40 products of a whole column of
+    queries (3600 x 20 by 20 x 400) took 0.04-0.34 s threaded and
+    0.07-0.09 s on one thread. A matrix build already threads over its
+    columns. A single row against N d >= _ONE_THREAD_PRODUCT is a
+    matrix-vector product, which OpenBLAS may still thread.
+    """
+    n, d = points.shape
+    kq, cols = ranks[-1], np.subtract(ranks, 1)
+    c = kq + _SCREEN_EXTRA
+    if n <= c:
+        return _brute_rank_distances(queries, points, ranks)
+    scale = (4 * d + 16) * 2.0**-53
+    with np.errstate(over="ignore", invalid="ignore"):
+        margin0 = scale * screen.norms.max() + (4 * d + 16) * np.finfo(np.float64).tiny
+    exact = np.empty(queries.shape[0], dtype=bool)
+
+    def block(rows):
+        qb = queries[rows]
+        # a norm or the product may overflow where (q - p)^2 does not; the
+        # margin is then infinite or NaN and the row falls back
+        with np.errstate(over="ignore", invalid="ignore"):
+            qc = qb - screen.center
+            s = (-2.0 * qc) @ screen.centered.T
+            s += screen.norms
+            part = np.argpartition(s, c, axis=1)
+            q2 = np.einsum("ij,ij->i", qc, qc)
+            boundary = q2 + s[np.arange(len(qb)), part[:, c]]
+            margin = scale * q2 + margin0
+        # the row budget counts the screen and the candidates apart
+        cand = part[:, :c].copy()
+        del s, part, qc
+        d2, exact[rows] = _certified_candidates(qb, points, cand, boundary, margin, kq)
+        return np.sqrt(d2[:, cols])
+
+    out = _in_blocks(queries.shape[0], max(2 * (n + d), (d + 3) * c) * 8, len(ranks), block,
+                     (_ONE_THREAD_PRODUCT - 1) // (n * d))
+    redo = np.flatnonzero(~exact)
+    if redo.size:
+        out[redo] = _brute_rank_distances(queries[redo], points, ranks)
+    return out
+
+
+def _certified_candidates(qb, points, cand, boundary, margin, kq):
+    """The kq smallest squared distances from each row of qb to its
+    candidates, the rows of points indexed by cand, in ascending order;
+    and a mask of the rows where they are the kq smallest of all points.
+
+    The distances are formed as _brute_rank_distances forms them, so they
+    are bitwise its values. Per row, no point outside the candidates may
+    be nearer, as brute force computes it, than boundary less margin. A
+    row is certified when that bound is finite and at least its kq-th
+    recomputed value.
+    """
+    # ((qb[:, None, :] - points[cand]) ** 2).sum(axis=-1), in one buffer
+    diff = points[cand]
+    np.subtract(qb[:, None, :], diff, out=diff)
+    np.square(diff, out=diff)
+    d2 = np.partition(diff.sum(axis=-1), kq - 1, axis=1)[:, :kq]
+    d2.sort(axis=1)
+    with np.errstate(invalid="ignore"):
+        bound = boundary - margin
+    return d2, np.isfinite(bound) & (bound >= d2[:, -1])
 
 
 def build_index(points) -> NeighborIndex:
@@ -250,11 +390,11 @@ def unit_ball_volume(d: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force route. Used automatically for d > 15 and as the independent
-# oracle the other routes are verified against.
+# Brute-force oracle: the independent reference the routes are verified
+# against, and the d > 15 route's answer for rows its screen cannot certify.
 
 def _brute_rank_distances(queries: np.ndarray, points: np.ndarray, ranks: tuple) -> np.ndarray:
-    """Brute-force route: every squared distance, the kq smallest sorted,
+    """Brute-force oracle: every squared distance, the kq smallest sorted,
     then the ranks' columns (kq the largest rank).
 
     A block's broadcast difference holds N * d float64 values per row.

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, dataset, estimators, oracle, synth, tasks
+from . import baselines, dataset, estimators, synth, tasks
 from .errors import (
     ConfigError,
     ContractError,
@@ -297,6 +297,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import oracle  # loads scipy.integrate and scipy.stats, which only verify needs
+
     checks = oracle.standard_checks(args.seed)
     width = max(len(c.name) for c in checks)
     for c in checks:

@@ -210,10 +210,10 @@ def save_dataset(ds: Dataset, path) -> None:
     p = Path(path)
     p.mkdir(parents=True, exist_ok=True)
     for g in ds.groups:
-        with open(p / f"{g.id}.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            for row in g.points:
-                writer.writerow([repr(float(v)) for v in row])
+        # Points are finite floats, whose repr holds no comma, quote or
+        # newline, so no CSV quoting applies and each file is one write.
+        text = "".join(",".join(map(repr, row)) + "\n" for row in g.points.tolist())
+        (p / f"{g.id}.csv").write_text(text, encoding="utf-8", newline="")
     if labels is not None:
         save_labels(p / "labels.csv", dict(zip(ds.ids, labels)))
 

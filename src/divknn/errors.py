@@ -25,9 +25,10 @@ class DegenerateDistanceError(DivknnError):
 
 
 class NonFiniteEstimateError(DivknnError):
-    """A divergence estimate came out infinite or NaN, typically because
-    neighbor distances raised to the power d overflow or underflow
-    float64. It is raised rather than clamped to a plausible value."""
+    """A divergence estimate came out infinite, NaN or underflowed to 0,
+    typically because neighbor distances raised to the power d overflow
+    or underflow float64. It is raised rather than clamped to a
+    plausible value."""
 
 
 class ContractError(DivknnError):

@@ -233,14 +233,40 @@ def _l2_terms(rho, nu, n, m, d, k):
     return (k - 1) / u - 2.0 * (k - 1) / v + u * ((k - 2) * (k - 1) / k) / v ** 2
 
 
+def _l2_mean(rho, nu, n, m, d, k) -> float | None:
+    """The mean of the L2 terms, or None if any step overflows, divides
+    by zero or makes a NaN: its value would be wrong, not just rounded."""
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            return float(_l2_terms(rho, nu, n, m, d, k).mean())
+    except FloatingPointError:
+        return None
+
+
 def _l2_squared_estimate(rho, nu, n, m, d, k) -> float:
-    est = float(_l2_terms(rho, nu, n, m, d, k).mean())
-    if not math.isfinite(est):
-        raise NonFiniteEstimateError(
-            f"L2 squared estimate is {est!r} "
-            f"(the neighbor distances raised to the power d={d} leave float64 range)"
-        )
-    return est
+    est = _l2_mean(rho, nu, n, m, d, k)
+    if est is not None:
+        return est
+    # rho^d, nu^d or a square left float64 range, though the estimate may
+    # not. Scaling rho and nu by a common 2^e scales every term exactly by
+    # 2^(-e d); e puts the median nu at about 1, and ldexp undoes the scale.
+    with np.errstate(divide="ignore"):
+        center = float(np.median(np.log2(nu)))
+    if math.isfinite(center):
+        e = -round(center)
+        mean = _l2_mean(np.ldexp(rho, e), np.ldexp(nu, e), n, m, d, k)
+        if mean is not None:
+            try:
+                est = math.ldexp(mean, e * d)
+            except OverflowError:
+                est = math.inf
+            if math.isfinite(est) and (est != 0.0 or mean == 0.0):
+                return est
+    raise NonFiniteEstimateError(
+        f"L2 squared estimate is out of float64 range "
+        f"(the neighbor distances raised to the power d={d} overflow or underflow "
+        f"even when rescaled)"
+    )
 
 
 def l2_squared(x, y, k: int, *, workers: int = 1) -> float:
@@ -248,8 +274,11 @@ def l2_squared(x, y, k: int, *, workers: int = 1) -> float:
 
     The estimate targets the integral of (p - q)^2 and may be negative
     (it is an unbiased-style estimate of a nonnegative quantity); it is
-    returned unclamped for diagnostic value. Requires k >= 3. An estimate
-    that is not finite raises NonFiniteEstimateError.
+    returned unclamped for diagnostic value. Requires k >= 3. Neighbor
+    distances raised to the power d that leave float64 range are scaled
+    by a power of 2 first, which scales each term exactly; an estimate
+    that is still not finite, or underflows to 0, raises
+    NonFiniteEstimateError.
     """
     if k < 3:
         raise ConfigError(f"l2 estimator requires k >= 3 (k - 2 > 0), got k={k}")

@@ -13,8 +13,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.stats import rankdata
 
 from .errors import ConfigError, ContractError, FlatAffinityError, UndefinedAUCError
 from .estimators import DivergenceMatrix
@@ -243,8 +241,13 @@ def max_trace(counts) -> float:
     """Largest trace of a square matrix over column permutations.
 
     Solved as an assignment problem (Hungarian method on negated
-    counts), so it stays polynomial in the matrix side.
+    counts), so it stays polynomial in the matrix side. The solver,
+    ``scipy.optimize.linear_sum_assignment``, is imported on the first
+    call: only cluster-accuracy scoring needs it, so ``import divknn``
+    does not load ``scipy.optimize``.
     """
+    from scipy.optimize import linear_sum_assignment
+
     m = np.asarray(counts, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ContractError(f"confusion matrix must be square, got {m.shape}")
@@ -381,11 +384,30 @@ def anomaly_scores(ids, w_test_train: np.ndarray, k_anom: int = 5) -> AnomalySco
     return AnomalyScores(tuple(ids), score)
 
 
+def _average_ranks(vals: np.ndarray) -> np.ndarray:
+    """1-based ranks, tied values sharing their mean rank (rankdata's "average").
+
+    Ties are found with ``!=`` on the sorted values, so -0.0 ties 0.0;
+    any NaN makes every rank NaN.
+    """
+    if np.isnan(vals).any():
+        return np.full(vals.shape, np.nan)
+    order = np.argsort(vals, kind="stable")
+    ordered = vals[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(vals)]
+    ranks = np.empty(len(vals))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def auc(scores, truth) -> float:
     """Area under the ROC curve by the rank (Mann-Whitney) identity.
 
-    ``truth`` flags anomalies truthily. Ties in score count half;
-    a truth vector with only one class has no ROC curve and raises.
+    ``truth`` flags anomalies truthily. Ties in score count half: tied
+    scores share their average rank, with -0.0 equal to 0.0, as in
+    ``scipy.stats.rankdata``. A NaN score makes the AUC NaN. A truth
+    vector with only one class has no ROC curve and raises.
     """
     vals = np.asarray(scores.score if isinstance(scores, AnomalyScores) else scores,
                       dtype=np.float64)
@@ -396,6 +418,6 @@ def auc(scores, truth) -> float:
     n_neg = int((~flags).sum())
     if n_pos == 0 or n_neg == 0:
         raise UndefinedAUCError("need at least one anomalous and one normal group")
-    ranks = rankdata(vals)
+    ranks = _average_ranks(vals)
     rank_sum = float(ranks[flags].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)

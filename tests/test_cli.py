@@ -222,11 +222,12 @@ def test_degenerate_duplicates_exit_2_and_dedup_rescues(tmp_path):
 
 
 def test_non_finite_l2_estimate_exits_2(tmp_path):
-    # d = 80, sigma = 1e3: rho**d overflows, so the L2 estimate is NaN
+    # d = 80, sigma = 1e4: the L2 estimate (about 1e-364) underflows
+    # float64 even after rescaling
     rng = np.random.Generator(np.random.Philox(80))
-    x = rng.normal(0.0, 1e3, size=(300, 80))
-    y = rng.normal(0.0, 1e3, size=(300, 80))
-    y[:, 0] += 5e3
+    x = rng.normal(0.0, 1e4, size=(300, 80))
+    y = rng.normal(0.0, 1e4, size=(300, 80))
+    y[:, 0] += 5e4
     data = tmp_path / "far"
     dsm.save_dataset(dsm.Dataset((dsm.Group("x", x), dsm.Group("y", y))), data)
     out = tmp_path / "w.csv"

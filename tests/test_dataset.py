@@ -150,6 +150,27 @@ def test_point_values_round_trip_shortest_repr(tmp_path_factory, values):
     assert np.array_equal(back.groups[0].points, ds.groups[0].points)
 
 
+def _csv_writer_bytes(points) -> bytes:
+    # the csv.writer form save_dataset used to write, one writerow per point
+    import csv
+    import io
+
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    for row in points:
+        writer.writerow([repr(float(v)) for v in row])
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_saved_group_files_match_the_csv_writer_bytes(tmp_path, d):
+    values = [-0.0, 5e-324, 0.1, 1e16, 1.7976931348623157e308, -1.5e-7]
+    points = np.array([[values[(i + j) % len(values)] for j in range(d)]
+                       for i in range(len(values))])
+    dsm.save_dataset(Dataset((Group("g", points),)), tmp_path)
+    assert (tmp_path / "g.csv").read_bytes() == _csv_writer_bytes(points)
+
+
 # ---------------------------------------------------------------------------
 # Single-file format: one row per point, id in the first column.
 

@@ -194,7 +194,7 @@ def test_duplicate_points_cross_sample_raise():
         est.alpha_integral(x, y, 1, 0.5)
 
 
-def _far_groups_d80(x_scale=1e3, y_scale=1e3, shift=5e3):
+def _far_groups_d80(x_scale, y_scale, shift):
     # two 300-point Gaussian groups in d = 80 with means `shift` apart
     rng = _rng(80)
     x = rng.normal(0.0, x_scale, size=(300, 80))
@@ -204,9 +204,10 @@ def _far_groups_d80(x_scale=1e3, y_scale=1e3, shift=5e3):
 
 
 def test_l2_overflow_raises_not_zero():
-    # rho**80 overflows float64 at this scale, so the squared estimate is
-    # NaN; it must raise instead of clamping to a divergence of 0
-    x, y = _far_groups_d80()
+    # at sigma = 1e4 in d = 80 the integral of p^2 is about 1e-364, below
+    # float64 even after rescaling; the estimate must raise instead of
+    # clamping to a divergence of 0
+    x, y = _far_groups_d80(x_scale=1e4, y_scale=1e4, shift=5e4)
     with pytest.raises(NonFiniteEstimateError), np.errstate(all="ignore"):
         est.l2_squared(x, y, 5)
     with pytest.raises(NonFiniteEstimateError), np.errstate(all="ignore"):
@@ -217,6 +218,37 @@ def test_l2_overflow_raises_not_zero():
         with pytest.raises(NonFiniteEstimateError, match="from group 'x' to 'y'"), \
                 np.errstate(all="ignore"):
             est.divergence_matrix(ds, est.EstimatorConfig("l2", k=5), workers=workers)
+
+
+_L2_BASE = _far_groups_d80(x_scale=1.0, y_scale=1.0, shift=5.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(j=st.integers(-15, 10))
+def test_l2_rescales_powers_that_leave_float64_range(j):
+    # at d = 80, scaling both samples by 2^j scales L2^2 by exactly
+    # 2^(-80 j). For j <= -9 or j >= 4 some rho^d, nu^d or nu^(2d) leaves
+    # float64 range while the estimate does not (it stays a normal float
+    # for -15 <= j <= 10). Before the rescale, j >= 10 and j <= -9 raised
+    # and 4 <= j <= 9 silently dropped overflowed terms (off by up to
+    # 1.2%); now all must give that value, without a RuntimeWarning (this
+    # module turns them into errors)
+    x, y = _L2_BASE
+    want = math.ldexp(est.l2_squared(x, y, 5), -80 * j)
+    got = est.l2_squared(math.ldexp(1.0, j) * x, math.ldexp(1.0, j) * y, 5)
+    assert math.isclose(got, want, rel_tol=1e-12)
+    ds = Dataset((Group("x", math.ldexp(1.0, j) * x), Group("y", math.ldexp(1.0, j) * y)))
+    w = est.divergence_matrix(ds, est.EstimatorConfig("l2", k=5, symmetrize=False), workers=2)
+    assert w.values[0, 1] == math.sqrt(max(0.0, got))
+
+
+@pytest.mark.parametrize("j", [12, -16])
+def test_l2_out_of_range_after_rescaling_still_raises(j):
+    # 2^(-80 j) times the d = 80 estimate underflows to 0 at j = 12 and
+    # overflows at j = -16
+    x, y = _L2_BASE
+    with pytest.raises(NonFiniteEstimateError, match="out of float64 range"):
+        est.l2_squared(math.ldexp(1.0, j) * x, math.ldexp(1.0, j) * y, 5)
 
 
 def test_renyi_underflow_raises():
@@ -626,3 +658,29 @@ def test_bad_workers_rejected_before_any_preparation(monkeypatch, build, workers
     with pytest.raises(ConfigError, match="workers must be -1 or a positive integer"):
         build(_toy_dataset(13, n=40), est.EstimatorConfig("renyi", 0.5, 5), workers=workers)
     assert calls == []
+
+
+@settings(max_examples=10, deadline=None)
+@given(order=st.permutations(range(5)))
+@pytest.mark.parametrize("cfg", [est.EstimatorConfig("renyi", 0.5, 5),
+                                 est.EstimatorConfig("l2", k=4, symmetrize=False)])
+@pytest.mark.parametrize("d", [1, 2, 20])  # sorted window, kd-tree, screened brute force
+def test_matrix_is_equivariant_in_group_order(d, cfg, order):
+    # renaming the groups so that the dataset's sort permutes them
+    # permutes the matrix, bit for bit: each nu_k is a per-row value,
+    # whatever rows are stacked into one query beside it
+    rng = _rng(120 + d)
+    groups = [Group(f"g{i}", rng.normal(0.4 * i, 1.0 + 0.1 * i, size=(40 + 7 * i, d)))
+              for i in range(5)]
+    ds = Dataset(tuple(groups))
+    renamed = Dataset(tuple(Group(f"r{order[i]}", g.points) for i, g in enumerate(groups)))
+    position = [renamed.ids.index(f"r{order[i]}") for i in range(5)]
+    # other ids, same order: no row is the column group itself
+    copies = Dataset(tuple(Group(f"s{i}", g.points) for i, g in enumerate(groups)))
+    for workers in (1, -1):
+        w = est.divergence_matrix(ds, cfg, workers=workers).values
+        w_renamed = est.divergence_matrix(renamed, cfg, workers=workers).values
+        assert np.array_equal(w_renamed[np.ix_(position, position)], w)
+        cross = est.cross_divergence_matrix(copies, ds, cfg, workers=workers)
+        cross_renamed = est.cross_divergence_matrix(renamed, ds, cfg, workers=workers)
+        assert np.array_equal(cross_renamed[position], cross)

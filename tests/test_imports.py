@@ -1,0 +1,109 @@
+"""Import graph: divknn loads numpy, scipy.special and scipy.spatial, no more.
+
+Every CLI run and every benchmark set-up starts with ``import divknn``,
+so a module that only one subcommand needs is imported where it is
+used. The check runs in a fresh interpreter, because this test process
+may already hold the heavy modules.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Loaded only by ``verify`` (scipy.integrate, scipy.stats) and by
+# cluster-accuracy scoring (scipy.optimize), or by those in turn.
+HEAVY = ("scipy.stats", "scipy.optimize", "scipy.integrate",
+         "scipy.interpolate", "scipy.ndimage", "scipy.fft")
+
+# The benchmark's call paths and the CLI's other subcommands, on tiny inputs.
+CALL_PATHS = textwrap.dedent("""
+    import sys, tempfile
+    from pathlib import Path
+    import numpy as np
+    import divknn, divknn.cli, divknn.synth
+    from divknn import baselines, cli, dataset, estimators, synth, tasks
+
+    rng = np.random.Generator(np.random.Philox(0))
+    renyi = estimators.EstimatorConfig("renyi", alpha=0.5, k=3)
+    l2 = estimators.EstimatorConfig("l2", k=3)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for d in (1, 2, 20):
+            ds = dataset.Dataset(tuple(
+                dataset.Group(f"g{i}", rng.normal(1.0 * i, 1.0, size=(30, d)))
+                for i in range(5)))
+            dataset.save_dataset(ds, tmp / f"d{d}")
+            ds = dataset.load_dataset(tmp / f"d{d}")
+            for cfg in (renyi, l2):
+                w = estimators.divergence_matrix(ds, cfg, workers=-1)
+                dataset.save_matrix(w, tmp / f"w{d}.csv")
+                dataset.load_matrix(tmp / f"w{d}.csv")
+                tasks.mds_embed(w, 2)
+                tasks.spectral_cluster(w, 2, 0)
+                wx = estimators.cross_divergence_matrix(ds, ds, cfg, workers=-1)
+                wg = baselines.baseline_cross_matrix(ds, ds, cfg)
+                scores = tasks.anomaly_scores(ds.ids, wx, 2)
+                tasks.auc(scores, [0, 1, 0, 1, 0])
+                tasks.auc(tasks.anomaly_scores(ds.ids, wg, 2), [0, 1, 0, 1, 0])
+        grid, _, _ = synth.gen_param_grid("ggrid", 0, 20)
+        scenario, _, _ = synth.gen_sine_anomaly_scenario(4, 2, 0, 40)
+        synth.split_scenario(scenario, 0)
+        out = str(tmp / "cli")
+        assert cli.main(["synth", "--family", "sine-anom", "--out", out, "--normal", "6",
+                         "--anom", "2", "--samples", "40"]) == 0
+        assert cli.main(["estimate", "--input", out, "--k", "3",
+                         "--out", str(tmp / "m.csv")]) == 0
+        assert cli.main(["embed", "--matrix", str(tmp / "m.csv"),
+                         "--out", str(tmp / "e.csv"), "--svg", str(tmp / "e.svg")]) == 0
+        assert cli.main(["cluster", "--matrix", str(tmp / "m.csv"), "--clusters", "2",
+                         "--out", str(tmp / "c.csv")]) == 0
+        assert cli.main(["classify", "--input", out, "--labels", out + "/labels.csv",
+                         "--k", "3", "--folds", "2", "--kvote", "3",
+                         "--out", str(tmp / "p.csv")]) == 0
+        assert cli.main(["anomaly", "--train", out, "--test", out, "--k", "3",
+                         "--kanom", "2", "--truth", out + "/flags.csv",
+                         "--out", str(tmp / "s.csv")]) == 0
+    print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy."))))
+""")
+
+
+def _loaded_after(code: str) -> set[str]:
+    """The words of the last line that code prints in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_import_loads_no_heavy_scipy_module():
+    loaded = _loaded_after(
+        "import sys, divknn, divknn.cli, divknn.synth; "
+        "print(' '.join(m for m in sys.modules if m.startswith('scipy.')))")
+    assert {"scipy.special", "scipy.spatial"} <= loaded
+    assert not [m for m in loaded if m.startswith(HEAVY)]
+
+
+def test_call_paths_load_no_heavy_scipy_module():
+    # the saving is removed, not moved into a later call
+    loaded = _loaded_after(CALL_PATHS)
+    assert not [m for m in loaded if m.startswith(HEAVY)]
+
+
+def test_verify_and_cluster_truth_load_what_they_need():
+    # the two paths that do need the heavy modules still find them
+    code = textwrap.dedent(f"""
+        import sys
+        import numpy as np
+        from divknn import cli, tasks
+        assert tasks.max_trace(np.eye(3)) == 3.0
+        assert "scipy.optimize" in sys.modules
+        assert cli.main(["verify", "--seed", "0"]) == 0
+        assert "scipy.integrate" in sys.modules and "scipy.stats" in sys.modules
+        print("ok")
+    """)
+    assert _loaded_after(code) == {"ok"}

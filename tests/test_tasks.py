@@ -319,6 +319,9 @@ def test_auc_hand_cases():
     assert tasks.auc([0.9, 0.8, 0.1, 0.2], [0, 0, 1, 1]) == 0.0
     assert tasks.auc([0.5, 0.5], [0, 1]) == 0.5
     assert tasks.auc([0.1, 0.5, 0.9], [0, 1, 0]) == 0.5
+    assert tasks.auc([0.0, -0.0], [0, 1]) == 0.5  # -0.0 ties 0.0
+    assert tasks.auc([-math.inf, 2.0, 2.0, math.inf], [0, 1, 0, 1]) == 0.875
+    assert math.isnan(tasks.auc([0.1, math.nan, 0.9], [0, 1, 0]))
 
 
 def test_auc_single_class_undefined():
@@ -349,3 +352,30 @@ def test_auc_equals_pairwise_win_probability(seed, n):
 def test_auc_accepts_score_container():
     scores = tasks.anomaly_scores(["a", "b"], np.array([[1.0], [2.0]]), 1)
     assert tasks.auc(scores, [0, 1]) == 1.0
+
+
+_TIE_HEAVY_SCORES = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, 5e-324, math.inf, -math.inf]) | st.floats(-3.0, 3.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scores=st.lists(_TIE_HEAVY_SCORES, min_size=2, max_size=30),
+    flag_bits=st.integers(0, 2**30 - 1),
+    nan_at=st.none() | st.integers(0, 29),
+)
+def test_auc_matches_the_rankdata_mann_whitney_value(scores, flag_bits, nan_at):
+    # tasks.auc ranks with its own numpy helper; the value must be the
+    # Mann-Whitney identity over scipy's average ranks, bit for bit:
+    # -0.0 ties 0.0, and a NaN score makes the AUC NaN
+    from scipy.stats import rankdata
+
+    vals = np.array(scores, dtype=float)
+    if nan_at is not None and nan_at < len(vals) and nan_at % 3 == 0:
+        vals[nan_at] = math.nan
+    flags = np.array([(flag_bits >> i) & 1 for i in range(len(vals))], dtype=bool)
+    flags[0], flags[1] = True, False
+    n_pos, n_neg = int(flags.sum()), int((~flags).sum())
+    want = (float(rankdata(vals)[flags].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    got = tasks.auc(vals, flags)
+    assert got == want or (math.isnan(got) and math.isnan(want))

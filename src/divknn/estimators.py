@@ -12,12 +12,14 @@ groups to column groups; symmetrizing averages it with its reverse. A
 group in both datasets is never paired with itself and its cell is 0.
 The sample-based table is filled one column at a time: the column
 group's index answers a single nu_k query over the stacked points of
-all its row groups, which is then sliced per pair.
+all its row groups, which is then sliced per pair. On a 1-D column each
+row group stacks its points in sorted order, and its slice is put back
+in point order.
 
 All estimation functions are pure given immutable inputs. The optional
 ``workers`` argument never changes any value. The pair functions pass
 it to the neighbor queries. A matrix build maps its group preparations
-and its columns over ``workers`` threads on every route (sorted window,
+and its columns over ``workers`` threads on every route (sorted line,
 kd-tree and brute force); each query in a thread then runs on one
 thread.
 """
@@ -385,9 +387,12 @@ def _sample_table(ds_from: "Dataset", ds_to: "Dataset", cfg: EstimatorConfig,
 
     Each column group answers one nu_k query over the stacked points of
     every row group paired with it, and each pair reduces its own slice
-    of nu_k as cfg asks. The stacked queries of one column are a copy of
-    at most the whole dataset's points, and each thread holds one
-    column's copy at a time.
+    of nu_k as cfg asks. In d = 1 a row group stacks its index's sorted
+    line, so that the column's binary searches meet sorted runs of
+    queries, and its slice is scattered back through the index's
+    ``order``. The stacked queries of one column are a copy of at most
+    the whole dataset's points, and each thread holds one column's copy
+    at a time.
     """
     k = cfg.k
     b = correction_factor(k, cfg.alpha) if cfg.kind == RENYI else math.nan
@@ -407,18 +412,34 @@ def _sample_table(ds_from: "Dataset", ds_to: "Dataset", cfg: EstimatorConfig,
         return g, index, rho
 
     def cross_nu(paired, index, workers):
-        """nu_k of each paired group against index, or the error its own query raises."""
+        """nu_k of each paired group against index, in the group's point
+        order, or the error its own query raises.
+
+        On the line each group queries with its sorted points, and its
+        slice of nu_k is put back in point order. After a
+        DegenerateDistanceError every group queries again on its own, with
+        its points in their order, so the error names the point as it is
+        numbered in its group.
+        """
         sizes = [g.points.shape[0] for g, _, _ in paired]
+        on_line = index.dim == 1
         try:
-            nu = knn.kth_nn_cross(np.concatenate([g.points for g, _, _ in paired]),
-                                  index, k, workers=workers)
+            nu = knn.kth_nn_cross(
+                np.concatenate([ix.tree[:, None] if on_line else g.points for g, ix, _ in paired]),
+                index, k, workers=workers)
+        except DegenerateDistanceError:
+            return [own_nu(g, index, workers) for g, _, _ in paired]
+        parts = np.split(nu, np.cumsum(sizes[:-1]))
+        if on_line:
+            for part, (_, ix, _) in zip(parts, paired):
+                part[ix.order] = part.copy()
+        return parts
+
+    def own_nu(g, index, workers):
+        try:
+            return knn.kth_nn_cross(g.points, index, k, workers=workers)
         except DegenerateDistanceError as exc:
-            if len(paired) == 1:
-                return [exc]
-            # Query each group on its own, so that the error names the
-            # failing point by its index within its group.
-            return [cross_nu([row], index, workers)[0] for row in paired]
-        return np.split(nu, np.cumsum(sizes[:-1]))
+            return exc
 
     def estimate(row, col, nu):
         """The pair's directed divergence, or its error naming the pair."""

@@ -11,32 +11,39 @@ Two query modes back the divergence estimators:
 Three routes answer them, chosen from the dimension d when the index is
 built:
 
-* d = 1, sorted window: the k nearest points of a query on a line are a
-  contiguous run of the sorted sample, so one binary search and a
-  2k-wide gather find them with no tree;
+* d = 1, sorted line: on a line a query's squared distances to the
+  sorted sample fall and then rise, so its r nearest points are a run of
+  r consecutive sorted points, and the r-th smallest distance is the
+  larger of the run's two end values. One binary search per query and
+  rank, among the midpoints of points r apart, finds the run, and a
+  check of its two outer neighbours proves it, ties included; the few
+  rows that fail it take a 2kq-wide sorted window (kq the largest rank
+  asked for). Callers that query with a whole sample's points, such as
+  the within-sample query and a matrix build, pass them in sorted
+  order, which keeps the binary searches' branches predictable;
 * 2 <= d <= 15, kd-tree: a balanced ``scipy.spatial.cKDTree``;
 * d > 15, brute force, screened: with the points centered on their
   mean c, ||p - c||^2 - 2 (q - c).(p - c), one small matrix product per
-  block of query rows, picks the kq + 8 most promising points per row
-  (kq the largest rank asked for). Their squared distances are then
-  recomputed exactly as the brute-force oracle computes them. A row
-  keeps them when the screen's next value, plus ||q - c||^2 and less a
-  margin that bounds the rounding of the centering, of the screen and
-  of the oracle, is at least the recomputed kq-th value: no other point
-  can then be nearer as the oracle computes it. Every other row, such as
-  one whose candidates tie with the next point within the margin or
-  whose centered norms overflow, is answered by the oracle itself. So
-  the route is bitwise the oracle, which ``brute_kth_nn_within`` and
-  ``brute_kth_nn_cross`` still run unscreened.
+  block of query rows, picks the kq + 8 most promising points per row.
+  Their squared distances are then recomputed exactly as the
+  brute-force oracle computes them. A row keeps them when the screen's
+  next value, plus ||q - c||^2 and less a margin that bounds the
+  rounding of the centering, of the screen and of the oracle, is at
+  least the recomputed kq-th value: no other point can then be nearer as
+  the oracle computes it. Every other row, such as one whose candidates
+  tie with the next point within the margin or whose centered norms
+  overflow, is answered by the oracle itself. So the route is bitwise
+  the oracle, which ``brute_kth_nn_within`` and ``brute_kth_nn_cross``
+  still run unscreened.
 
 A route returns only the neighbor ranks its caller reads, not the whole
 sorted table of the nearest distances: the within-sample query reads
 rank k + 1 (the self match takes rank 1), the cross-sample query ranks
-1, k and k + 1, clipped to the sample size. The kd-tree route passes the ranks to
-``cKDTree.query``; the other two sort a row's candidates and keep those
-columns.
+1 and k, and rank k + 1 only for the rows whose rank 1 is a
+coincidence. The kd-tree route passes the ranks to ``cKDTree.query``;
+the brute-force route sorts a row's candidates and keeps those columns.
 
-The sorted-window and brute-force routes work through their queries in
+The sorted-line and brute-force routes work through their queries in
 blocks of rows whose temporaries stay within one byte budget,
 ``_BLOCK_BYTES``. The budget is small on purpose: glibc serves large
 allocations with fresh ``mmap`` pages, and at several MiB per block
@@ -49,11 +56,11 @@ query: threads that query at the same time, as a threaded divergence
 matrix does, hold up to threads x ``_BLOCK_BYTES`` of temporaries.
 
 Squared distances are used internally; square roots are taken once at
-the boundary. All results are exact. The sorted-window route and the
-kd-tree route up to d = 7 match the brute-force route bit for bit. From
-d = 8 cKDTree sums a squared distance in four interleaved partial sums
-and numpy's brute force in eight, so there the two may differ in the
-last bits.
+the boundary. All results are exact. The sorted-line route, the d > 15
+route and the kd-tree route up to d = 7 match the brute-force route bit
+for bit, whatever the order of the queries. From d = 8 cKDTree sums a
+squared distance in four interleaved partial sums and numpy's brute
+force in eight, so there the two may differ in the last bits.
 """
 
 from __future__ import annotations
@@ -72,7 +79,7 @@ BRUTE_FORCE_DIM = 15
 LEAF_SIZE = 16
 
 # Byte budget for the temporaries of one block of query rows on the
-# sorted-window and brute-force routes; the rows per block follow from
+# sorted-line and brute-force routes; the rows per block follow from
 # each route's temporary per row.
 _BLOCK_BYTES = 256 * 2**10
 
@@ -101,7 +108,9 @@ class NeighborIndex:
 
     ``tree`` holds the structure of the route chosen from d:
 
-    * d = 1: the sorted coordinates, a 1-D array searched by sorted window;
+    * d = 1: the sorted coordinates, a 1-D array searched as a sorted
+      line; ``order`` is then the stable argsort that sorts them, so
+      ``tree[i]`` is point ``order[i]``;
     * 2 <= d <= 15: a balanced kd-tree (median split on the widest-spread
       coordinate, leaf size 16);
     * d > 15: None, and queries run brute force: a matrix-product screen
@@ -111,19 +120,22 @@ class NeighborIndex:
       then holds the points centered on their mean, a second N x d
       array, for the screen.
 
-    A query asks for a few neighbor ranks and gets one column per rank;
-    the sorted-window and brute-force routes answer it in blocks of rows
-    within ``_BLOCK_BYTES`` of temporaries. Safe for concurrent queries.
+    ``order`` and ``screen`` are None on the routes that do not use
+    them. A query asks for a few neighbor ranks and gets one column per
+    rank; the sorted-line and brute-force routes answer it in blocks of
+    rows within ``_BLOCK_BYTES`` of temporaries. Safe for concurrent
+    queries.
     """
 
-    __slots__ = ("points", "tree", "screen")
+    __slots__ = ("points", "tree", "order", "screen")
 
     def __init__(self, points):
         pts = _as_points(points)
         self.points = pts
-        self.screen = None
+        self.order = self.screen = None
         if pts.shape[1] == 1:
-            self.tree = np.sort(pts[:, 0])
+            self.order = np.argsort(pts[:, 0], kind="stable")
+            self.tree = pts[self.order, 0]
         elif pts.shape[1] > BRUTE_FORCE_DIM:
             self.tree = None
             self.screen = _Screen(pts)
@@ -144,7 +156,7 @@ class NeighborIndex:
         if self.tree is None:
             return _screened_rank_distances(queries, self.points, self.screen, ranks)
         if self.dim == 1:
-            return _window_rank_distances(queries[:, 0], self.tree, ranks)
+            return _line_rank_distances(queries[:, 0], self.tree, ranks)
         return self.tree.query(queries, k=list(ranks), workers=workers)[0]
 
 
@@ -164,8 +176,61 @@ def _in_blocks(n: int, row_bytes: int, ncols: int, block,
     return out
 
 
+def _line_rank_distances(q: np.ndarray, line: np.ndarray, ranks: tuple) -> np.ndarray:
+    """Route for d = 1 against ``line``, the sorted sample c_0 <= ... <=
+    c_(m-1): one binary search per query and rank; bitwise equal to
+    _brute_rank_distances.
+
+    The squared distances a_j = (q - c_j)**2, formed as brute force forms
+    them, never rise over the points c_j <= q and never fall over the
+    points c_j >= q, rounding included. So the r-th smallest is the least
+    over runs i..i+r-1 of max(a_i, a_(i+r-1)), and the run that gives it
+    starts at i0, the number of midpoints c_i/2 + c_(i+r)/2 below q
+    (halves, so that the sum cannot overflow). v = max(a_i0, a_(i0+r-1))
+    is then the r-th smallest if no point outside the run is nearer.
+    That holds, ties included, when the run's outer neighbours lie
+    beyond q and are at least v: c_(i0-1) <= q and a_(i0-1) >= v, and
+    c_(i0+r) >= q and a_(i0+r) >= v, a missing neighbour counting as
+    infinitely far. Rounding moves a run only where a midpoint rounds up
+    onto or past q: the right-hand check then fails (and either may on
+    subnormal points, whose halves round). The rows that fail it are
+    answered by _window_rank_distances.
+
+    A block's row holds the run start, up to four gathered, subtracted or
+    squared values, a few masks and its results.
+    """
+    m = line.shape[0]
+    half = line * 0.5
+    mids = [half[:m - r] + half[r:] for r in ranks]
+    # the line between two infinitely far points, so that every run has
+    # outer neighbours
+    padded = np.concatenate(([-np.inf], line, [np.inf]))
+    exact = np.ones(q.shape[0], dtype=bool)
+
+    def block(rows):
+        qb, ok = q[rows], exact[rows]
+        out = np.empty((len(qb), len(ranks)))
+        for j, (r, mid) in enumerate(zip(ranks, mids)):
+            i0 = np.searchsorted(mid, qb)
+            v = (qb - padded[1:].take(i0)) ** 2
+            if r > 1:
+                np.maximum(v, (qb - padded[r:].take(i0)) ** 2, out=v)
+            for shift, beyond in ((0, np.less_equal), (r + 1, np.greater_equal)):
+                c = padded[shift:].take(i0)
+                ok &= beyond(c, qb) & ((qb - c) ** 2 >= v)
+            out[:, j] = v
+        return np.sqrt(out, out=out)
+
+    out = _in_blocks(q.shape[0], (6 + len(ranks)) * 8, len(ranks), block)
+    redo = np.flatnonzero(~exact)
+    if redo.size:
+        out[redo] = _window_rank_distances(q[redo], line, ranks)
+    return out
+
+
 def _window_rank_distances(q: np.ndarray, line: np.ndarray, ranks: tuple) -> np.ndarray:
-    """Sorted-window route for d = 1 against ``line``, the sorted sample.
+    """Sorted-window answer for d = 1 against ``line``, the sorted sample,
+    for the rows that _line_rank_distances cannot certify.
 
     With kq the largest rank, the kq nearest points of q lie among the
     kq sorted points on either side of its insertion point. The window
@@ -309,9 +374,14 @@ def kth_nn_within(index: NeighborIndex, k: int, *, workers: int = 1) -> np.ndarr
     duplicate rows; callers that need strictly positive distances must
     screen for that.
     """
-    return _kth_within(
-        index.size, k, lambda ranks: index._rank_distances(index.points, ranks, workers)
-    )
+    # On the line the sorted points query the index, and their rows are
+    # put back in point order: row i is point order[i]'s.
+    on_line = index.order is not None
+    queries = index.tree[:, None] if on_line else index.points
+    rho = _kth_within(index.size, k, lambda ranks: index._rank_distances(queries, ranks, workers))
+    if on_line:
+        rho[index.order] = rho.copy()
+    return rho
 
 
 def kth_nn_cross(query_points, index: NeighborIndex, k: int, *, workers: int = 1) -> np.ndarray:
@@ -321,7 +391,9 @@ def kth_nn_cross(query_points, index: NeighborIndex, k: int, *, workers: int = 1
     indexed point) is excluded, so the indexed sample behaves as if the
     query point itself had been removed from it. A *remaining* zero
     distance means the indexed sample holds duplicates at the query
-    location and raises DegenerateDistanceError.
+    location and raises DegenerateDistanceError. Each query's distance
+    is the same whatever the other queries and their order; on a 1-D
+    index, queries in sorted runs are answered fastest.
     """
     queries = _as_points(query_points, "query_points")
     if queries.shape[1] != index.dim:
@@ -329,7 +401,7 @@ def kth_nn_cross(query_points, index: NeighborIndex, k: int, *, workers: int = 1
             f"query dimension {queries.shape[1]} != index dimension {index.dim}"
         )
     return _kth_cross(
-        index.size, k, lambda ranks: index._rank_distances(queries, ranks, workers)
+        queries, index.size, k, lambda qs, ranks: index._rank_distances(qs, ranks, workers)
     )
 
 
@@ -349,11 +421,11 @@ def _kth_within(n: int, k: int, rank_distances) -> np.ndarray:
     return rank_distances((k + 1,))[:, 0]
 
 
-def _kth_cross(m: int, k: int, rank_distances) -> np.ndarray:
+def _kth_cross(queries: np.ndarray, m: int, k: int, rank_distances) -> np.ndarray:
     """k-th nearest of m indexed points per query, a coincidence excluded.
 
-    ``rank_distances(ranks)`` returns each query's distances to the
-    indexed points of the given neighbor ranks.
+    ``rank_distances(qs, ranks)`` returns the distances of the query rows
+    qs to the indexed points of the given neighbor ranks.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -361,18 +433,19 @@ def _kth_cross(m: int, k: int, rank_distances) -> np.ndarray:
         raise InsufficientSampleError(
             f"cross-sample k-NN with k={k} needs at least {k} indexed points, got {m}"
         )
-    # Rank 1 finds a coincidence, rank k is the answer without one and
-    # rank k+1 (when the sample has it) the answer with one.
-    ranks = tuple(sorted({1, k, min(k + 1, m)}))
-    dist = rank_distances(ranks)
-    coincident = dist[:, 0] == 0.0
-    if coincident.any() and ranks[-1] == k:
-        idx = int(np.flatnonzero(coincident)[0])
-        raise InsufficientSampleError(
-            f"query point {idx} coincides with an indexed point; k={k} then "
-            f"needs at least {k + 1} indexed points, got {m}"
-        )
-    out = np.where(coincident, dist[:, -1], dist[:, ranks.index(k)])
+    # Rank 1 finds a coincidence and rank k is the answer without one;
+    # rank k+1, the answer with one, is computed for the coincident rows
+    # alone.
+    dist = rank_distances(queries, (1, k) if k > 1 else (1,))
+    out = dist[:, -1].copy()
+    coincident = np.flatnonzero(dist[:, 0] == 0.0)
+    if coincident.size:
+        if k == m:
+            raise InsufficientSampleError(
+                f"query point {coincident[0]} coincides with an indexed point; k={k} then "
+                f"needs at least {k + 1} indexed points, got {m}"
+            )
+        out[coincident] = rank_distances(queries[coincident], (k + 1,))[:, 0]
     if (out == 0.0).any():
         idx = int(np.flatnonzero(out == 0.0)[0])
         raise DegenerateDistanceError(
@@ -424,5 +497,5 @@ def brute_kth_nn_cross(query_points, points, k: int) -> np.ndarray:
     if queries.shape[1] != pts.shape[1]:
         raise ValueError("query/point dimensions differ")
     return _kth_cross(
-        pts.shape[0], k, lambda ranks: _brute_rank_distances(queries, pts, ranks)
+        queries, pts.shape[0], k, lambda qs, ranks: _brute_rank_distances(qs, pts, ranks)
     )

@@ -64,15 +64,19 @@ def test_correction_factor_alpha_one_is_identity():
 @settings(max_examples=80, deadline=None)
 @given(
     k=st.integers(1, 60),
-    alpha=st.floats(-0.5, 1.9, allow_nan=False),
+    a=st.floats(1.0, 2.5, allow_nan=False),
 )
-def test_correction_factor_swap_symmetry(k, alpha):
-    # B depends on alpha only through |alpha - 1|
-    if k <= abs(alpha - 1.0):
+def test_correction_factor_swap_symmetry(k, a):
+    # B depends on alpha only through |alpha - 1|. On [1, 2.5], 2 - a and
+    # both distances from 1 are exact, so a and 2 - a are exact mirrors.
+    # A rounded mirror (2 - alpha for alpha < 0.5) is not, and near
+    # k = |alpha - 1| B changes by more than the tolerance between them
+    mirror = 2.0 - a
+    assert mirror - 1.0 == -(a - 1.0)
+    if k <= a - 1.0:
         return
-    a = est.correction_factor(k, alpha)
-    b = est.correction_factor(k, 2.0 - alpha)
-    assert math.isclose(a, b, rel_tol=1e-12)
+    assert math.isclose(est.correction_factor(k, a), est.correction_factor(k, mirror),
+                        rel_tol=1e-12)
 
 
 def test_correction_factor_domain_error():
@@ -527,20 +531,57 @@ def test_row_group_preparation_errors_raise_first(build, to_points, error, worke
         _with_workers(build, workers)(ds_from, ds_to, est.EstimatorConfig("renyi", 0.5, 5))
 
 
-def test_degenerate_nu_names_the_point_within_its_own_group():
-    # y holds two points 1.5e-162 either side of 0, where b's point 3
-    # sits: both squared distances underflow to 0, so b's point 3 has a
-    # zero nu_1 against y, while y's own points stay 3e-162 apart. The
-    # column of y stacks a's 40 points before b's
+def _underflow_duplicates():
+    """Groups a (40 points), b (30) and y (20) in d = 1. y holds two points
+    1.5e-162 either side of 0, where b's point 3 sits: both squared
+    distances underflow to 0, so b's point 3 has a zero nu_1 against y,
+    while y's own points stay 3e-162 apart. Sorted, b's point 3 is not
+    b's fourth point."""
     rng = _rng(82)
     a = rng.normal(size=(40, 1))
     b = rng.normal(size=(30, 1))
     b[3] = 0.0
     y = rng.normal(size=(20, 1)) + 5.0
     y[:2, 0] = (-1.5e-162, 1.5e-162)
-    ds = Dataset((Group("a", a), Group("b", b), Group("y", y)))
+    assert knn.build_index(b).order[3] != 3
+    return Group("a", a), Group("b", b), Group("y", y)
+
+
+def test_degenerate_nu_names_the_point_within_its_own_group():
+    # the column of y stacks a's 40 points before b's
+    ds = Dataset(_underflow_duplicates())
     with pytest.raises(DegenerateDistanceError,
                        match="between groups 'b' and 'y': query point 3 has a zero"):
+        est.divergence_matrix(ds, est.EstimatorConfig("renyi", 0.75, 1))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("rows", [("b",), ("a", "b")])
+def test_degenerate_nu_on_the_line_names_the_point_in_its_group_order(rows, workers):
+    # a 1-D column queries with each row group's sorted points; the error
+    # still names b's point by its index in b, with one paired group and
+    # with several, on one thread and on two
+    a, b, y = _underflow_duplicates()
+    groups = {"a": a, "b": b}
+    ds_from = Dataset(tuple(groups[r] for r in rows))
+    message = ("between groups 'b' and 'y': query point 3 has a zero k-th neighbor "
+               "distance: the indexed sample contains duplicate points at that location")
+    for symmetrize in (False, True):
+        cfg = est.EstimatorConfig("renyi", 0.75, 1, symmetrize=symmetrize)
+        with pytest.raises(DegenerateDistanceError) as info:
+            est.cross_divergence_matrix(ds_from, Dataset((y,)), cfg, workers=workers)
+        assert str(info.value) == message
+
+
+def test_duplicate_rho_on_the_line_names_the_point_in_its_group_order():
+    # the within-sample query runs on the sorted points and is put back
+    # in point order, so the first zero rho is point 7's, as in brute force
+    x = np.arange(30.0)[:, None]
+    x[7] = x[12] = 20.5
+    ds = Dataset((Group("x", x), Group("z", np.arange(30.0)[:, None] + 0.25)))
+    assert knn.build_index(x).order[7] != 7
+    with pytest.raises(DegenerateDistanceError,
+                       match="group 'x': point 7 has a zero within-sample"):
         est.divergence_matrix(ds, est.EstimatorConfig("renyi", 0.75, 1))
 
 
@@ -684,3 +725,32 @@ def test_matrix_is_equivariant_in_group_order(d, cfg, order):
         cross = est.cross_divergence_matrix(copies, ds, cfg, workers=workers)
         cross_renamed = est.cross_divergence_matrix(renamed, ds, cfg, workers=workers)
         assert np.array_equal(cross_renamed[position], cross)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+@pytest.mark.parametrize("d", [1, 2, 20])  # sorted line, kd-tree, screened brute force
+def test_point_order_within_groups(d, seed):
+    # permuting a group's points permutes its rho_k and every pair's nu_k
+    # bit for bit: each is a per-point value, whatever the order of the
+    # sample or of the queries. Matrix entries are means of per-point
+    # terms, so only their summation order changes
+    k, rng = 5, _rng(seed)
+    # rounded, so that distances tie
+    groups = [Group(f"g{i}", np.round(_rng(130 + d + i).normal(0.4 * i, 1.0, (40 + 7 * i, d)), 3))
+              for i in range(4)]
+    perms = [rng.permutation(g.points.shape[0]) for g in groups]
+    shuffled = [Group(g.id, g.points[p]) for g, p in zip(groups, perms)]
+    for g, s, p in zip(groups, shuffled, perms):
+        assert np.array_equal(knn.kth_nn_within(knn.build_index(s.points), k),
+                              knn.kth_nn_within(knn.build_index(g.points), k)[p])
+        for h, t in zip(groups, shuffled):
+            if h is not g:
+                assert np.array_equal(
+                    knn.kth_nn_cross(s.points, knn.build_index(t.points), k),
+                    knn.kth_nn_cross(g.points, knn.build_index(h.points), k)[p])
+    for cfg in (est.EstimatorConfig("renyi", 0.5, k), est.EstimatorConfig("l2", k=k)):
+        for workers in (1, 2):
+            w = est.divergence_matrix(Dataset(tuple(groups)), cfg, workers=workers).values
+            got = est.divergence_matrix(Dataset(tuple(shuffled)), cfg, workers=workers).values
+            np.testing.assert_allclose(got, w, rtol=1e-12, atol=0.0)

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from divknn import estimators, knn
@@ -217,17 +217,161 @@ def test_sorted_window_matches_brute(seed, k, extra, n, decimals, scale_exp, coi
                          _outcome(lambda: knn.brute_kth_nn_within(pts, k)))
 
 
-def _count_brute_rows(monkeypatch):
-    """Swap in a _brute_rank_distances that counts the query rows it answers;
-    the count is the returned list's one item."""
-    brute, rows = knn._brute_rank_distances, [0]
+def _count_rows(monkeypatch, name):
+    """Swap in a knn.<name> that counts the query rows, its first
+    argument, that it answers; the count is the returned list's one item."""
+    real, rows = getattr(knn, name), [0]
 
-    def counted(queries, points, ranks):
+    def counted(queries, *args):
         rows[0] += queries.shape[0]
-        return brute(queries, points, ranks)
+        return real(queries, *args)
 
-    monkeypatch.setattr(knn, "_brute_rank_distances", counted)
+    monkeypatch.setattr(knn, name, counted)
     return rows
+
+
+def _line_queries(rng, values, arrangement):
+    """values as an n x 1 query array: in random order, sorted, or in
+    sorted runs of random length, as a matrix build stacks sorted groups."""
+    values = rng.permutation(values)
+    if arrangement == "sorted":
+        values = np.sort(values)
+    elif arrangement == "runs":
+        cuts = np.sort(rng.integers(0, len(values) + 1, size=rng.integers(1, 5)))
+        values = np.concatenate([np.sort(run) for run in np.split(values, cuts)])
+    return values[:, None]
+
+
+def test_line_route_matches_brute(monkeypatch):
+    # The d = 1 route finds each rank's run by one search among midpoints
+    # and certifies it from the run's outer neighbours; rows it cannot
+    # certify go to the sorted-window code, counted here. Rounded
+    # coordinates make ties, duplicates and coincident queries, which the
+    # certificate must tolerate; queries on the decimal midpoint of two
+    # points make the binary midpoint round across q, and such rows fall
+    # back. Scales near 1e-160 make squares underflow and near 1e154
+    # overflow; below 1e-306 the points themselves are subnormal, and
+    # halving them rounds. Offsets to 1e15 leave few bits of spread.
+    seen = {"certified": 0, "fallback": 0}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kq=st.integers(1, 6),
+        extra=st.integers(0, 2**16),
+        n=st.integers(1, 40),
+        which=st.sampled_from(["cross", "rank", "all", "within"]),
+        decimals=st.sampled_from([None, 0, 1, 2, 3]),
+        scale_exp=st.one_of(st.floats(-6.0, 6.0), st.floats(-163.0, -157.0),
+                            st.floats(152.0, 155.0), st.floats(-318.0, -306.0)),
+        offset=st.sampled_from([0.0, 0.0, 1.0, 1e3, 1e8, 1e12, 1e15]),
+        on=st.sampled_from(["nothing", "points", "midpoints"]),
+        arrangement=st.sampled_from(["random", "sorted", "runs"]),
+    )
+    # a draw known to send rows to the fallback, whatever else is drawn
+    @example(seed=1, kq=2, extra=6, n=40, which="cross", decimals=1, scale_exp=0.0,
+             offset=0.0, on="midpoints", arrangement="runs")
+    def check(seed, kq, extra, n, which, decimals, scale_exp, offset, on, arrangement):
+        # m runs from kq, where the one run is the whole sample, to 3(kq + 1)
+        m = kq + extra % (2 * kq + 4)
+        rng = _rng(seed)
+
+        def rounded(x):
+            return x if decimals is None else np.round(x, decimals)
+
+        grid = rounded(rng.normal(size=m) * 3.0)
+        values = rounded(rng.normal(size=n) * 3.0)
+        pick = rng.integers(0, m, size=(2, len(values[::2])))
+        if on == "points":
+            values[::2] = grid[pick[0]]
+        elif on == "midpoints":
+            values[::2] = rounded((grid[pick[0]] + grid[pick[1]]) / 2.0)
+        scale = 10.0 ** scale_exp
+        pts = ((grid + offset) * scale)[:, None]
+        queries = _line_queries(rng, (values + offset) * scale, arrangement)
+        ranks = {"cross": tuple(sorted({1, kq})), "rank": (kq,),
+                 "all": tuple(range(1, kq + 1)), "within": (kq,)}[which]
+        if which == "within":
+            queries = pts
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            want = knn._brute_rank_distances(queries, pts, ranks)
+        fell = _count_rows(monkeypatch, "_window_rank_distances")
+        try:
+            with warnings.catch_warnings():
+                # where the oracle overflows, the route may warn as well
+                warnings.simplefilter("ignore" if caught else "error")
+                got = knn._line_rank_distances(queries[:, 0], knn.build_index(pts).tree, ranks)
+        finally:
+            monkeypatch.undo()
+        assert np.array_equal(got, want)
+        seen["fallback"] += fell[0]
+        seen["certified"] += len(queries) - fell[0]
+        if which != "within":
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore" if caught else "error")
+                _assert_same_outcome(
+                    _outcome(lambda: knn.kth_nn_cross(queries, knn.build_index(pts), kq)),
+                    _outcome(lambda: knn.brute_kth_nn_cross(queries, pts, kq)))
+
+    check()
+    assert seen["certified"] > 0 and seen["fallback"] > 0
+
+
+def test_line_route_falls_back_where_a_midpoint_rounds_across_q(monkeypatch):
+    # fl(0.1/2 + 0.3/2) is 0.2, q itself, so the search keeps the run
+    # {0.1}; yet 0.3 - 0.2 rounds below 0.2 - 0.1, so 0.3 is nearer and
+    # the certificate rejects the row
+    fell = _count_rows(monkeypatch, "_window_rank_distances")
+    got = knn._line_rank_distances(np.array([0.2]), np.array([0.1, 0.3]), (1,))
+    assert fell[0] == 1
+    assert np.array_equal(got, knn._brute_rank_distances(np.array([[0.2]]),
+                                                         np.array([[0.1], [0.3]]), (1,)))
+    assert got[0, 0] == 0.3 - 0.2
+
+
+def test_line_index_keeps_the_sorting_order():
+    # tree is the sorted line (the route reads it), order the stable
+    # argsort, so that tree[i] is point order[i]; other routes have none
+    pts = np.array([[3.0], [-1.0], [3.0], [0.5], [-1.0]])
+    idx = knn.build_index(pts)
+    assert idx.order.tolist() == [1, 4, 3, 0, 2]
+    assert np.array_equal(idx.tree, pts[idx.order, 0])
+    assert knn.build_index(_rng(0).normal(size=(4, 2))).order is None
+    assert knn.build_index(_rng(0).normal(size=(4, 20))).order is None
+
+
+def _record_rank_queries(monkeypatch):
+    """Swap in a NeighborIndex._rank_distances that records, per call, the
+    query rows it gets and the ranks it is asked for."""
+    real, calls = knn.NeighborIndex._rank_distances, []
+
+    def recorded(self, queries, ranks, workers):
+        calls.append((queries.copy(), ranks))
+        return real(self, queries, ranks, workers)
+
+    monkeypatch.setattr(knn.NeighborIndex, "_rank_distances", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("d", [1, 2, 20])  # sorted line, kd-tree, screened brute force
+@pytest.mark.parametrize("k", [1, 4])
+def test_cross_asks_for_rank_k_plus_one_only_at_coincidences(monkeypatch, d, k):
+    rng = _rng(11)
+    pts = rng.normal(size=(50, d))
+    queries = rng.normal(size=(30, d)) + 10.0  # far from every point
+    idx = knn.build_index(pts)
+    calls = _record_rank_queries(monkeypatch)
+    want = knn.brute_kth_nn_cross(queries, pts, k)
+    assert np.array_equal(knn.kth_nn_cross(queries, idx, k), want)
+    assert [(len(q), r) for q, r in calls] == [(30, (1, k) if k > 1 else (1,))]
+    calls.clear()
+    hits = [2, 3, 17, 29]
+    queries[hits] = pts[[0, 40, 7, 0]]
+    want = knn.brute_kth_nn_cross(queries, pts, k)
+    assert np.array_equal(knn.kth_nn_cross(queries, idx, k), want)
+    assert [r for _, r in calls] == [(1, k) if k > 1 else (1,), (k + 1,)]
+    assert np.array_equal(calls[1][0], queries[hits])
 
 
 def test_screened_route_matches_brute(monkeypatch):
@@ -274,7 +418,7 @@ def test_screened_route_matches_brute(monkeypatch):
             ranks = tuple(sorted({1, min(k, m), min(k + 1, m)}))
         want = knn._brute_rank_distances(queries, pts, ranks)
         monkeypatch.setattr(knn, "_BLOCK_BYTES", block_bytes)
-        fell = _count_brute_rows(monkeypatch)
+        fell = _count_rows(monkeypatch, "_brute_rank_distances")
         try:
             got = knn._screened_rank_distances(queries, pts, knn._Screen(pts), ranks)
         finally:
@@ -314,7 +458,7 @@ def test_brute_memory_stays_within_budget(monkeypatch):
         if within:
             want.append(knn.brute_kth_nn_within(pts, k))
         monkeypatch.setattr(knn, "_BLOCK_BYTES", budget)
-        fell = _count_brute_rows(monkeypatch)
+        fell = _count_rows(monkeypatch, "_brute_rank_distances")
         tracemalloc.start()
         try:
             got = [knn.kth_nn_cross(queries, idx, k)]
@@ -397,7 +541,7 @@ def test_screen_overflow_falls_back_without_warnings(monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             want = knn.brute_kth_nn_cross(queries, pts, 4)
-            fell = _count_brute_rows(monkeypatch)
+            fell = _count_rows(monkeypatch, "_brute_rank_distances")
             got = knn.kth_nn_cross(queries, knn.build_index(pts), 4)
         monkeypatch.undo()
         assert np.array_equal(got, want)

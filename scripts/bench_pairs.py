@@ -12,7 +12,10 @@ For every workload, ten pairs each run ``divbench/run.py --workload W
 checkout, with a fresh seed per pair and ``T`` the ``run_seconds`` of
 ``BENCHMARK.json``; which side runs first alternates from pair to pair.
 The JSON object that ``run.py`` prints on its last line is the result of
-a run. Per end-to-end metric of ``BENCHMARK.json`` the output holds both
+a run. A run that exits non-zero, whose last line is not a JSON object, or
+that outlives ``10 T`` plus a minute of set-up is a failed run; its
+``how_it_ended`` says which (``failed``, ``malformed`` or ``timed_out``).
+Per end-to-end metric of ``BENCHMARK.json`` the output holds both
 sides' runs, median, q1 and q3, how many pairs the change won (ties count
 for neither), the change's median relative to the parent's and a
 verdict. The verdict is ``"unresolved"`` when the parent's interquartile
@@ -39,19 +42,42 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 PAIRS = 10  # the benchmark's minimum number of pairs per workload
+SETUP_S = 60.0  # allowance for a run's imports and set-up on top of its reps
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
-    """One divbench run in checkout; its result object plus the machine record it printed."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: bool,
+             timeout: float | None = None) -> dict:
+    """One divbench run in checkout; its result object plus the machine record it printed.
+
+    A run that exits non-zero, prints no result object last, or is still
+    going after ``timeout`` seconds (default ``10 * seconds + SETUP_S``)
+    is a failed run, and ``how_it_ended`` says which of the three it was.
+    """
     cmd = [sys.executable, "divbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(int(trace))]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if timeout is None:
+        timeout = 10 * seconds + SETUP_S
+
+    def failed(how: str, returncode, stderr, **extra) -> dict:
+        return {"ok": False, "how_it_ended": how, "returncode": returncode,
+                "stderr": stderr[-2000:], **extra}
+
+    try:
+        proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                              timeout=timeout)
+    except subprocess.TimeoutExpired as exc:  # its output is bytes even with text=True
+        return failed("timed_out", None, (exc.stderr or b"").decode(errors="replace"))
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        return {"ok": False, "returncode": proc.returncode, "stderr": proc.stderr[-2000:]}
-    result = json.loads(lines[-1])
-    machine = next((json.loads(line)["machine"] for line in lines
-                    if line.startswith('{"machine"')), None)
+        return failed("failed", proc.returncode, proc.stderr)
+    try:
+        result = json.loads(lines[-1])
+        machine = next((json.loads(line)["machine"] for line in lines
+                        if line.startswith('{"machine"')), None)
+    except (ValueError, KeyError, TypeError):
+        result = None
+    if not (isinstance(result, dict) and "metrics" in result):
+        return failed("malformed", proc.returncode, proc.stderr, last_line=lines[-1][-2000:])
     return {"ok": True, "result": result, "machine": machine}
 
 
@@ -118,7 +144,8 @@ def main(argv=None) -> int:
             firsts.append(order[0])
             print(f"{time.strftime('%H:%M:%S')} {name} seed {seed}: "
                   + " ".join(f"{s} wall_s={pair[s]['result']['metrics']['wall_s']['value']:.4f}"
-                             if pair[s]["ok"] else f"{s} FAILED" for s in SIDES), flush=True)
+                             if pair[s]["ok"] else f"{s} {pair[s]['how_it_ended']}"
+                             for s in SIDES), flush=True)
         seed0 = {s: run_once(checkouts[s], name, 0, seconds, False) for s in SIDES}
         traced = {s: run_once(checkouts[s], name, 0, seconds, True) for s in SIDES}
         report["workloads"][name] = {

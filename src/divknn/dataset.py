@@ -10,7 +10,12 @@ On-disk formats (UTF-8, comma separators, '.' decimal point):
   ``flags.csv`` are reserved metadata names and never parsed as groups:
   ``labels.csv`` / ``flags.csv`` are two-column tables with a header
   (``id,label`` resp. ``id,flag``), ``params.csv`` is ``id`` plus named
-  numeric columns.
+  numeric columns. A group file whose bytes are all plain-decimal
+  (``0-9 . e E + - ,`` and LF or CR line ends) and that holds a digit
+  is parsed by one ``np.loadtxt`` call; any other file, any file
+  ``np.loadtxt`` rejects and any with a field past ``csv``'s size limit
+  goes through the ``csv`` reader and ``float`` cell by cell. Either way
+  a file loads to the same bits or fails with the same error.
 * single-file container: header-less CSV whose first column is the
   group id and remaining columns are coordinates.
 * divergence matrix: CSV with a header row and column of group ids and
@@ -23,6 +28,7 @@ indices never depend on filesystem enumeration order.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -142,18 +148,60 @@ def _parse_point_rows(rows, where: str, expect_cols: int | None):
     return points, expect_cols
 
 
+def _csv_rows(fh):
+    for r, row in enumerate(csv.reader(fh), start=1):
+        yield r, row
+
+
 def _read_rows(path: Path):
     with open(path, newline="", encoding="utf-8") as fh:
-        for r, row in enumerate(csv.reader(fh), start=1):
-            yield r, row
+        yield from _csv_rows(fh)
+
+
+# Bytes of a plain-decimal file. On cells made of these alone, float()
+# and np.loadtxt accept the same strings and round them alike; what
+# float() alone takes (``1_0``, ``nan``, ``inf``, padding, non-ASCII
+# digits) needs another byte, as do the ``#`` and quotes that loadtxt
+# would read as syntax.
+_DECIMAL_BYTES = b"0123456789.eE+-,\r\n"
+_NON_DIGITS = b".eE+-,\r\n"
+
+
+def _fields_fit_csv(data: bytes) -> bool:
+    """True if no field is longer than csv's field size limit, past which
+    the csv reader raises and loadtxt, which has no limit, would not."""
+    limit = csv.field_size_limit()
+    if len(data) <= limit:
+        return True
+    b = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero((b == ord(",")) | (b == ord("\n")) | (b == ord("\r")))
+    return int(np.diff(ends, prepend=-1, append=len(data)).max()) <= limit + 1
+
+
+def _decimal_points(data: bytes) -> np.ndarray | None:
+    """The points of a plain-decimal file, or None where the csv path must decide."""
+    # strip() leaves something only if the file holds a digit, so an
+    # all-blank file never reaches loadtxt (which warns on no data).
+    if (data.translate(None, _DECIMAL_BYTES) or not data.strip(_NON_DIGITS)
+            or not _fields_fit_csv(data)):
+        return None
+    try:
+        return np.loadtxt(io.StringIO(data.decode("ascii")), delimiter=",",
+                          comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
 
 
 def _load_group_file(path: Path, labels: dict[str, str]) -> Group:
     gid = path.stem
-    points, _ = _parse_point_rows(_read_rows(path), f"group '{gid}' ({path.name})", None)
-    if not points:
-        raise DataFormatError(f"group file {path.name} contains no points")
-    return Group(gid, np.array(points), labels.get(gid))
+    data = path.read_bytes()
+    points = _decimal_points(data)
+    if points is None:
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
+            points, _ = _parse_point_rows(_csv_rows(fh), f"group '{gid}' ({path.name})", None)
+        if not points:
+            raise DataFormatError(f"group file {path.name} contains no points")
+    return Group(gid, points, labels.get(gid))
 
 
 def _load_directory(path: Path) -> Dataset:

@@ -131,12 +131,26 @@ def correction_factor(k: int, alpha: float) -> float:
     unbiased. Defined for k > |alpha - 1|; symmetric under
     alpha -> 2 - alpha. Evaluated through rising factorials (log-gamma
     backed, with an exact integer-step path).
+
+    Where ``alpha - 1.0`` rounds (alpha below 0.5, by Sterbenz's lemma),
+    the rounded argument would meet the pole of Gamma(k + alpha - 1) near
+    k = 1 - alpha, so B is taken as poch(k - 1 + alpha, 1 - alpha) /
+    poch(k, 1 - alpha) instead, whose k - 1 + alpha is exact there.
     """
     if not k > abs(alpha - 1.0):
         raise ConfigError(
             f"correction factor requires k > |alpha - 1| (got k={k}, alpha={alpha})"
         )
-    return float(1.0 / (poch(k, 1.0 - alpha) * poch(k, alpha - 1.0)))
+    if _sum_is_exact(alpha, -1.0):
+        return float(1.0 / (poch(k, 1.0 - alpha) * poch(k, alpha - 1.0)))
+    return float(poch(k - 1 + alpha, 1.0 - alpha) / poch(k, 1.0 - alpha))
+
+
+def _sum_is_exact(a: float, b: float) -> bool:
+    """True if a + b is exact in float64: Knuth's two-sum error term is 0."""
+    s = a + b
+    bv = s - a
+    return (a - (s - bv)) + (b - bv) == 0.0
 
 
 def _screen_rho(rho: np.ndarray) -> None:

@@ -1,0 +1,76 @@
+"""scripts/bench_pairs.py's run_once against stub checkouts: how each run ended."""
+
+import importlib.util
+import json
+import time
+from pathlib import Path
+
+import pytest
+
+_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", _SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _stub_checkout(root: Path, body: str) -> Path:
+    """A checkout whose divbench/run.py is body."""
+    (root / "divbench").mkdir(parents=True)
+    (root / "divbench" / "run.py").write_text(body)
+    return root
+
+
+def test_a_result_line_is_a_run(bench_pairs, tmp_path):
+    result = {"metrics": {"wall_s": {"value": 0.5}}, "correct": True}
+    body = ("import json\n"
+            "print(json.dumps({'machine': {'cpus': 2}}))\n"
+            f"print(json.dumps({result!r}))\n")
+    got = bench_pairs.run_once(_stub_checkout(tmp_path, body), "ggrid", 0, 1.0, False)
+    assert got == {"ok": True, "result": result, "machine": {"cpus": 2}}
+
+
+@pytest.mark.parametrize("last", ["Traceback (most recent call last):", "[1, 2]", '{"x": 1}'])
+def test_a_last_line_that_is_no_result_is_a_malformed_run(bench_pairs, tmp_path, last):
+    body = f"print({json.dumps({'metrics': {}})!r})\nprint({last!r})\n"
+    got = bench_pairs.run_once(_stub_checkout(tmp_path, body), "ggrid", 0, 1.0, False)
+    assert got["ok"] is False
+    assert got["how_it_ended"] == "malformed"
+    assert got["returncode"] == 0
+    assert got["last_line"] == last
+
+
+def test_a_non_zero_exit_is_a_failed_run(bench_pairs, tmp_path):
+    body = "import sys\nprint('{}')\nsys.exit('broken')\n"
+    got = bench_pairs.run_once(_stub_checkout(tmp_path, body), "ggrid", 0, 1.0, False)
+    assert (got["ok"], got["how_it_ended"], got["returncode"]) == (False, "failed", 1)
+    assert "broken" in got["stderr"]
+
+
+def test_a_run_past_its_timeout_is_stopped_and_recorded(bench_pairs, tmp_path):
+    body = ("import sys, time\n"
+            "print('starting', file=sys.stderr, flush=True)\n"
+            "time.sleep(60)\n")
+    start = time.perf_counter()
+    got = bench_pairs.run_once(_stub_checkout(tmp_path, body), "ggrid", 0, 1.0, False,
+                               timeout=2.0)
+    assert time.perf_counter() - start < 30
+    assert (got["ok"], got["how_it_ended"], got["returncode"]) == (False, "timed_out", None)
+    assert isinstance(got["stderr"], str)
+
+
+def test_the_default_timeout_is_generous(bench_pairs, tmp_path, monkeypatch):
+    seen = {}
+
+    def fake_run(cmd, **kwargs):
+        seen.update(kwargs)
+        raise bench_pairs.subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    got = bench_pairs.run_once(tmp_path, "ggrid", 0, 20.0, False)
+    assert got["how_it_ended"] == "timed_out" and got["stderr"] == ""
+    assert seen["timeout"] == 10 * 20.0 + bench_pairs.SETUP_S

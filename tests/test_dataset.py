@@ -1,8 +1,11 @@
 """Group container formats: round-trips, validation, reserved names."""
 
+import csv
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divknn import dataset as dsm
@@ -169,6 +172,124 @@ def test_saved_group_files_match_the_csv_writer_bytes(tmp_path, d):
                        for i in range(len(values))])
     dsm.save_dataset(Dataset((Group("g", points),)), tmp_path)
     assert (tmp_path / "g.csv").read_bytes() == _csv_writer_bytes(points)
+
+
+# ---------------------------------------------------------------------------
+# Group-file parsing: the np.loadtxt fast path against the csv path.
+
+def _csv_path_group(path):
+    """A group file parsed cell by cell with csv and float(), as every
+    file not taken by the plain-decimal fast path is."""
+    gid = path.stem
+    points, _ = dsm._parse_point_rows(dsm._read_rows(path), f"group '{gid}' ({path.name})", None)
+    if not points:
+        raise DataFormatError(f"group file {path.name} contains no points")
+    return Group(gid, np.array(points))
+
+
+def _load_outcome(load):
+    """(shape, bytes) of the loaded points, or the exception's type and text."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            points = load().points
+    except Exception as exc:
+        return type(exc), str(exc)
+    return points.shape, points.tobytes()
+
+
+def _count_parses(monkeypatch):
+    """Swap in a dataset._decimal_points that counts the files it parses
+    and the files it leaves to the csv path."""
+    real, seen = dsm._decimal_points, {"fast": 0, "csv": 0}
+
+    def counted(data):
+        points = real(data)
+        seen["csv" if points is None else "fast"] += 1
+        return points
+
+    monkeypatch.setattr(dsm, "_decimal_points", counted)
+    return seen
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# cells that are plain decimals: shortest reprs, other printf forms and
+# long digit strings, which may overflow to inf or underflow to 0
+_PLAIN_CELLS = st.one_of(
+    _FINITE.map(repr),
+    _FINITE.map(lambda v: f"{v:.25e}"),
+    st.from_regex(r"[+-]?[0-9]{1,40}(\.[0-9]{0,40})?([eE][+-]?[0-9]{1,4})?", fullmatch=True),
+)
+# cells float() and loadtxt might read differently, or that neither reads
+_ODD_CELLS = st.one_of(
+    st.sampled_from(["1_0", "nan", "-inf", "Infinity", "1e400", "-1e400", "1e-400",
+                     " 1.5", "2.5 ", "\t3", "#4", "5#", '"6"', "'7'", "", "1e", "1.2.3",
+                     "--1", ".", "e5", "1e+", "1+2", "0x1p3", "١", "２.5", "1 "]),
+    st.text(alphabet="0123456789.eE+-", max_size=6),
+)
+
+
+@st.composite
+def _group_file_bytes(draw):
+    """The bytes of a group file: plain-decimal rows, or rows with odd
+    cells, ragged widths, any line end and perhaps a non-UTF-8 byte."""
+    plain = draw(st.booleans())
+    cells = _PLAIN_CELLS if plain else st.one_of(_PLAIN_CELLS, _ODD_CELLS)
+    ncols = draw(st.integers(1, 4))
+    widths = [ncols] * 6 + [0] + ([] if plain else [ncols - 1, ncols + 1])
+    rows = draw(st.lists(st.sampled_from(widths).flatmap(
+        lambda w: st.lists(cells, min_size=w, max_size=w)), max_size=8))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(",".join(row) for row in rows) + (end if draw(st.booleans()) else "")
+    data = text.encode("utf-8")
+    if not plain and draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80"])) + data[at:]
+    return data
+
+
+def test_fast_path_matches_csv_path(tmp_path_factory, monkeypatch):
+    # Every group file loads to the same bits, or fails with the same
+    # exception and message, as a parse by csv and float() cell by cell;
+    # warnings are errors, so loadtxt's no-data warning would show.
+    seen = _count_parses(monkeypatch)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_group_file_bytes())
+    @example(b"\n\n\n")
+    @example(b"\r\n\r\n")
+    @example(b"")
+    @example(b"1.5,-2e3\r\n0.25,7\r\n")
+    @example(b"1.5\r2.5\r")
+    @example(b"1.5\n2.\xff5\n")
+    @example(b"1,2,\n3,4,\n")
+    def check(data):
+        tmp = tmp_path_factory.mktemp("grp")
+        (tmp / "g.csv").write_bytes(data)
+        assert _load_outcome(lambda: dsm.load_dataset(tmp).groups[0]) \
+            == _load_outcome(lambda: _csv_path_group(tmp / "g.csv"))
+
+    check()
+    assert seen["fast"] > 0 and seen["csv"] > 0
+
+
+def test_fields_past_the_csv_limit_take_the_csv_path(tmp_path, monkeypatch):
+    # loadtxt has no field size limit; csv raises past its own, and so
+    # must the load.
+    seen = _count_parses(monkeypatch)
+    limit = csv.field_size_limit(40)
+    try:
+        got = {}
+        for name, cell in (("fits", "1" * 40), ("long", "2" * 41)):
+            path = tmp_path / name / "g.csv"
+            path.parent.mkdir()
+            path.write_text(f"{cell}\n3\n")
+            got[name] = _load_outcome(lambda: dsm.load_dataset(path.parent).groups[0])
+            assert got[name] == _load_outcome(lambda: _csv_path_group(path))
+    finally:
+        csv.field_size_limit(limit)
+    assert seen == {"fast": 1, "csv": 1}
+    assert got["long"] == (csv.Error, "field larger than field limit (40)")
 
 
 # ---------------------------------------------------------------------------

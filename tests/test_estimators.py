@@ -79,6 +79,41 @@ def test_correction_factor_swap_symmetry(k, a):
                         rel_tol=1e-12)
 
 
+def _gamma_ratio_mp(k, alpha):
+    """Gamma(k)^2 / (Gamma(k - alpha + 1) Gamma(k + alpha - 1)) at 50 digits."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        k, a = mp.mpf(k), mp.mpf(alpha)
+        return mp.gamma(k) ** 2 / (mp.gamma(k - a + 1) * mp.gamma(k + a - 1))
+
+
+def test_correction_factor_near_the_domain_edge():
+    # Near k = |alpha - 1| one gamma factor sits at its pole. Below
+    # alpha = 0.5, alpha - 1.0 rounds, and the rounded argument once
+    # cost up to 3.6e-3 relative error on this grid (5.0e-9 at k = 1,
+    # alpha = 1e-8); it is now read as a separate exact argument.
+    worst = 0.0
+    for k in range(1, 41):
+        for gap in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.3, 0.7):
+            for alpha in (1.0 - k + gap, 1.0 + k - gap):
+                if k > abs(alpha - 1.0):
+                    want = _gamma_ratio_mp(k, alpha)
+                    worst = max(worst, float(abs(est.correction_factor(k, alpha) - want) / want))
+    assert worst <= 1e-12
+    want = _gamma_ratio_mp(1, 1e-8)
+    assert float(abs(est.correction_factor(1, 1e-8) - want) / want) < 1e-15
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.75, 1.5, 2.0, 5.0, -1.0])
+def test_correction_factor_keeps_its_bits_where_alpha_minus_one_is_exact(alpha):
+    from scipy.special import poch
+
+    for k in range(int(abs(alpha - 1.0)) + 1, 60):
+        assert est.correction_factor(k, alpha) \
+            == float(1.0 / (poch(k, 1.0 - alpha) * poch(k, alpha - 1.0)))
+
+
 def test_correction_factor_domain_error():
     with pytest.raises(ConfigError):
         est.correction_factor(1, -0.5)
@@ -148,6 +183,35 @@ def test_renyi_joint_scaling_invariance():
     a = est.renyi_divergence(x, y, 8, 0.5)
     b = est.renyi_divergence(2.0 * x, 2.0 * y, 8, 0.5)
     assert math.isclose(a, b, rel_tol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 200),
+    j=st.integers(-200, 200),
+    k=st.integers(1, 5),
+    alpha=st.sampled_from([0.5, 0.25, 0.9, 1.5]),
+    shift=st.floats(0.0, 3.0),
+)
+def test_renyi_is_invariant_under_power_of_two_scaling(seed, d, j, k, alpha, shift):
+    # At s = 2^j every neighbor distance scales exactly, so only the logs
+    # of rho and nu, which gain j log 2, can round differently. Each
+    # log-ratio term may then move by a few ulps of the largest log, L,
+    # times d; the estimate by that, plus a few ulps of the term mean's
+    # rounding over 1 / |alpha - 1|.
+    rng = _rng(seed)
+    x = rng.normal(size=(40, d))
+    y = rng.normal(size=(30, d)) + shift
+    s = math.ldexp(1.0, j)
+    eps = np.finfo(np.float64).eps
+    logs = [np.abs(np.log(v)).max()
+            for xs, ys in ((x, y), (s * x, s * y))
+            for v in est._pair_statistics(xs, ys, k, 1)[:2]]
+    tol = 8 * eps * (d * max(logs) + (math.log2(len(x)) + 4) / abs(alpha - 1.0))
+    a = est.renyi_divergence(x, y, k, alpha)
+    b = est.renyi_divergence(s * x, s * y, k, alpha)
+    assert abs(a - b) <= tol + 4 * eps * abs(a)
 
 
 def test_l2_scaling_law_power_of_two():

@@ -22,7 +22,9 @@ verdict. The verdict is ``"unresolved"`` when the parent's interquartile
 range, relative to its median, is wider than the metric's bound and not
 every change run beats every parent run; otherwise it is ``"within"`` or
 ``"outside"``, as the change's relative median is within the bound or
-not. Then each side runs seed 0 once untraced, whose ``correct`` flag
+not. ``gain`` is true when the change won at least 9 in 10 of the pairs
+and its median beats the parent's by more than the parent's q3 - q1:
+the rule a claimed gain must meet. Then each side runs seed 0 once untraced, whose ``correct`` flag
 says that the matrices match the pinned digests, and once with
 ``--trace 1`` for the per-layer metrics. The machine record is the one ``run.py`` prints.
 Only the standard library is used, and nothing under ``divbench/`` is
@@ -97,8 +99,8 @@ def verdict(parent: dict, change: dict, sign: float, bound: float, worse: float)
 
 
 def summarize(pairs: list[dict], declared: list[dict]) -> dict:
-    """Per declared metric: both sides' spread, the change's wins, its relative median and
-    the verdict against the bound."""
+    """Per declared metric: both sides' spread, the change's wins, its relative median, the
+    verdict against the bound and whether the change is a gain."""
     out = {}
     for m in declared:
         name, sign = m["name"], (1.0 if m["better"] == "higher" else -1.0)
@@ -109,12 +111,15 @@ def summarize(pairs: list[dict], declared: list[dict]) -> dict:
             continue
         parent, change = spread([a for a, _ in got]), spread([b for _, b in got])
         worse = sign * (parent["median"] - change["median"]) / abs(parent["median"] or 1.0)
+        wins = sum(sign * (b - a) > 0 for a, b in got)
+        beats_by = sign * (change["median"] - parent["median"])
         out[name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"],
             "parent": parent, "change": change,
-            "change_wins": sum(sign * (b - a) > 0 for a, b in got), "pairs": len(got),
+            "change_wins": wins, "pairs": len(got),
             "change_worse_by": worse,
             "verdict": verdict(parent, change, sign, m["bound"], worse),
+            "gain": 10 * wins >= 9 * len(got) and beats_by > parent["q3"] - parent["q1"],
         }
     return out
 
@@ -162,7 +167,7 @@ def main(argv=None) -> int:
         for metric, m in wl["metrics"].items():
             print(f"{name} {metric}: {m['parent']['median']:.4g} -> {m['change']['median']:.4g} "
                   f"{m['unit']}, change won {m['change_wins']}/{m['pairs']}, "
-                  f"{m['verdict']}")
+                  f"{m['verdict']}, gain {m['gain']}")
         print(f"{name} seed-0 correct: {wl['seed0_correct']}")
     return 0
 

@@ -11,42 +11,24 @@ prints the statistics acceptance criterion 8 gates:
   embedding and the embedding of the exact divergences.
 
 The exact divergences come from the 1-D reduction of the power integral
-(derived in exact_renyi_matrix). They saturate once frequencies are
-more than a small gap apart, so the embedding spreads the groups
-instead of lining them up: the per-axis correlations with theta, also
-printed for both embeddings, land well below 1 by the geometry of the
-family, not by estimation error. The SVG colors points red by theta
-for visual inspection.
+(derived in divknn.oracle.sine_renyi_half_matrix). They saturate once
+frequencies are more than a small gap apart, so the embedding spreads
+the groups instead of lining them up: the per-axis correlations with
+theta, also printed for both embeddings, land well below 1 by the
+geometry of the family, not by estimation error. The SVG colors points
+red by theta for visual inspection.
 """
 
 import argparse
-import math
 from pathlib import Path
 
 import numpy as np
 from scipy.spatial.distance import pdist
 from scipy.stats import spearmanr
 
-from divknn import cli, dataset, estimators, synth, tasks
+from divknn import cli, dataset, estimators, oracle, synth, tasks
 
 LOCAL_GAP = 0.3
-GL_NODES = 200
-
-
-def exact_renyi_matrix(thetas):
-    """Exact Renyi-1/2 divergences between sine groups of these thetas.
-
-    The y-integral of sqrt(p q) for two Gaussians of std s centred on
-    curve heights a and b is exp(-(a - b)^2 / (8 s^2)), so the power
-    integral is the mean of that over x in [0, 2 pi], and D = -2 log I.
-    """
-    x, w = np.polynomial.legendre.leggauss(GL_NODES)
-    heights = np.sin(np.outer(thetas, math.pi * (x + 1.0)))
-    gap = heights[:, None, :] - heights[None, :, :]
-    integral = np.exp(-gap * gap / (8.0 * synth.SINE_NOISE_STD ** 2)) @ (w / 2)
-    exact = -2.0 * np.log(integral)
-    np.fill_diagonal(exact, 0.0)
-    return exact
 
 
 def main():
@@ -66,8 +48,8 @@ def main():
     print(f"estimating {len(ds)}x{len(ds)} matrix (k={args.k}) ...")
     w = estimators.divergence_matrix(ds, cfg, workers=-1)
     dataset.save_matrix(w, out / "matrix.csv")
-    w_true = estimators.DivergenceMatrix(ds.ids, exact_renyi_matrix(thetas),
-                                         None)
+    exact = oracle.sine_renyi_half_matrix(thetas, synth.SINE_NOISE_STD)
+    w_true = estimators.DivergenceMatrix(ds.ids, exact, None)
 
     emb = tasks.mds_embed(w, 2)
     emb_true = tasks.mds_embed(w_true, 2)

@@ -117,13 +117,13 @@ def _divergences(args, ds, reference=None):
     return estimators.cross_divergence_matrix(ds, reference, cfg, workers=-1)
 
 
-def _write_table(path, header, rows) -> None:
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _values_for(ids, table: dict, what: str) -> list:
+    """table[id] for each id, or a DataFormatError naming every id the
+    ``what`` file lacks."""
+    missing = [gid for gid in ids if gid not in table]
+    if missing:
+        raise DataFormatError(f"{what} file lacks ids: {', '.join(missing)}")
+    return [table[gid] for gid in ids]
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +179,7 @@ def emit_svg_scatter(coords: np.ndarray, colors, path) -> None:
 
 def _param_colors(ids, params: dict[str, np.ndarray]) -> list[tuple[int, int, int]]:
     """Linear red/green channels from the first two parameter columns."""
-    missing = [gid for gid in ids if gid not in params]
-    if missing:
-        raise DataFormatError(f"params file lacks ids: {', '.join(missing)}")
-    table = np.array([params[gid] for gid in ids], dtype=np.float64)
+    table = np.array(_values_for(ids, params, "params"), dtype=np.float64)
 
     def channel(col: np.ndarray) -> np.ndarray:
         span = col.max() - col.min()
@@ -215,7 +212,7 @@ def _cmd_embed(args) -> int:
     header = ["id", *[f"c{i}" for i in range(args.dims)]]
     rows = [[gid, *[f"{v:.9g}" for v in row]]
             for gid, row in zip(emb.ids, emb.coords)]
-    _write_table(args.out, header, rows)
+    dataset.write_table(args.out, header, rows)
     print(f"wrote {args.out}: {len(emb.ids)} groups in {args.dims}-D")
     if args.svg:
         colors = None
@@ -230,16 +227,12 @@ def _cmd_embed(args) -> int:
 def _cmd_cluster(args) -> int:
     matrix = dataset.load_matrix(args.matrix)
     assign = tasks.spectral_cluster(matrix, args.clusters, args.seed)
-    _write_table(args.out, ["id", "cluster"],
-                 [[gid, str(c)] for gid, c in zip(assign.ids, assign.cluster)])
+    dataset.write_table(args.out, ["id", "cluster"],
+                        [[gid, str(c)] for gid, c in zip(assign.ids, assign.cluster)])
     print(f"wrote {args.out}: {args.clusters} clusters over {len(assign.ids)} groups")
     if args.truth:
-        labels = dataset.load_labels(args.truth)
-        missing = [gid for gid in assign.ids if gid not in labels]
-        if missing:
-            raise DataFormatError(f"truth file lacks ids: {', '.join(missing)}")
-        acc = tasks.cluster_trace_accuracy(
-            [labels[gid] for gid in assign.ids], assign)
+        labels = _values_for(assign.ids, dataset.load_labels(args.truth), "truth")
+        acc = tasks.cluster_trace_accuracy(labels, assign)
         print(f"trace accuracy: {acc:.6f}")
     return 0
 
@@ -251,8 +244,8 @@ def _cmd_classify(args) -> int:
     matrix = _divergences(args, ds)
     acc, preds = tasks.cross_validate_classify(
         matrix, labels, args.kvote, args.folds, args.seed)
-    _write_table(args.out, ["id", "predicted"],
-                 [[gid, lab] for gid, lab in zip(ds.ids, preds)])
+    dataset.write_table(args.out, ["id", "predicted"],
+                        [[gid, lab] for gid, lab in zip(ds.ids, preds)])
     print(f"wrote {args.out}")
     print(f"cv accuracy: {acc:.6f}")
     return 0
@@ -263,15 +256,12 @@ def _cmd_anomaly(args) -> int:
     test = _load_input(args, args.test)
     w = _divergences(args, test, train)
     scores = tasks.anomaly_scores(test.ids, w, args.kanom)
-    _write_table(args.out, ["id", "score"],
-                 [[gid, repr(float(s))] for gid, s in zip(scores.ids, scores.score)])
+    dataset.write_table(args.out, ["id", "score"],
+                        [[gid, repr(float(s))] for gid, s in zip(scores.ids, scores.score)])
     print(f"wrote {args.out}: scores for {len(scores.ids)} test groups")
     if args.truth:
-        flags = dataset.load_labels(args.truth)
-        missing = [gid for gid in scores.ids if gid not in flags]
-        if missing:
-            raise DataFormatError(f"flags file lacks ids: {', '.join(missing)}")
-        truth = [flags[gid] == "1" for gid in scores.ids]
+        flags = _values_for(scores.ids, dataset.load_labels(args.truth), "flags")
+        truth = [flag == "1" for flag in flags]
         print(f"auc: {tasks.auc(scores, truth):.6f}")
     return 0
 

@@ -14,12 +14,16 @@ On-disk formats (UTF-8, comma separators, '.' decimal point):
   (``0-9 . e E + - ,`` and LF or CR line ends) and that holds a digit
   is parsed by one ``np.loadtxt`` call; any other file, any file
   ``np.loadtxt`` rejects and any with a field past ``csv``'s size limit
-  goes through the ``csv`` reader and ``float`` cell by cell. Either way
+  goes through the CSV reader and ``float`` cell by cell. Either way
   a file loads to the same bits or fails with the same error.
 * single-file container: header-less CSV whose first column is the
   group id and remaining columns are coordinates.
 * divergence matrix: CSV with a header row and column of group ids and
   entries printed with 9 significant digits.
+
+Every CSV is read by one reader, which skips blank lines (a table's
+header is its first non-blank line), and written by ``write_table``.
+Every read error is a DataFormatError that names its file.
 
 Groups are ordered lexicographically by id everywhere so that matrix
 indices never depend on filesystem enumeration order.
@@ -121,14 +125,47 @@ class Dataset:
 
 
 # ---------------------------------------------------------------------------
+# CSV reading and writing, shared by every file format below.
+
+def _read_rows(path: Path, where: str | None = None,
+               data: bytes | None = None) -> list[tuple[int, list[str]]]:
+    """The non-blank rows of a CSV file, or of its bytes if given, each
+    with its 1-based row number. Every read error is a DataFormatError
+    naming ``where`` (default: the file name)."""
+    where = where or path.name
+    try:
+        text = (path.read_bytes() if data is None else data).decode("utf-8")
+    except FileNotFoundError:
+        raise DataFormatError(f"no such file: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{where}: {exc}") from None
+    rows, r = [], 0
+    try:
+        for r, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+            if row:
+                rows.append((r, row))
+    except csv.Error as exc:  # such as a field past csv.field_size_limit()
+        raise DataFormatError(f"{where}: row {r + 1}: {exc}") from None
+    if not rows:
+        raise DataFormatError(f"{where} is empty")
+    return rows
+
+
+def write_table(path, header, rows) -> None:
+    """Write a CSV table: the header row, then each of rows."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+# ---------------------------------------------------------------------------
 # Point-file parsing.
 
 def _parse_point_rows(rows, where: str, expect_cols: int | None):
     """Parse CSV rows of coordinates; report 1-based row/column on failure."""
     points = []
     for r, row in rows:
-        if not row:
-            continue  # blank line
         if expect_cols is None:
             expect_cols = len(row)
         if len(row) != expect_cols:
@@ -146,16 +183,6 @@ def _parse_point_rows(rows, where: str, expect_cols: int | None):
                 ) from None
         points.append(vals)
     return points, expect_cols
-
-
-def _csv_rows(fh):
-    for r, row in enumerate(csv.reader(fh), start=1):
-        yield r, row
-
-
-def _read_rows(path: Path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        yield from _csv_rows(fh)
 
 
 # Bytes of a plain-decimal file. On cells made of these alone, float()
@@ -197,10 +224,8 @@ def _load_group_file(path: Path, labels: dict[str, str]) -> Group:
     data = path.read_bytes()
     points = _decimal_points(data)
     if points is None:
-        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
-            points, _ = _parse_point_rows(_csv_rows(fh), f"group '{gid}' ({path.name})", None)
-        if not points:
-            raise DataFormatError(f"group file {path.name} contains no points")
+        where = f"group '{gid}' ({path.name})"
+        points, _ = _parse_point_rows(_read_rows(path, where, data), where, None)
     return Group(gid, points, labels.get(gid))
 
 
@@ -218,8 +243,6 @@ def _load_single_file(path: Path) -> Dataset:
     by_id: dict[str, list[list[float]]] = {}
     cols: int | None = None
     for r, row in _read_rows(path):
-        if not row:
-            continue
         if len(row) < 2:
             raise DataFormatError(
                 f"{path.name}: row {r} needs an id and at least one coordinate"
@@ -229,8 +252,6 @@ def _load_single_file(path: Path) -> Dataset:
             [(r, row[1:])], f"{path.name} (group '{gid}')", cols
         )
         by_id.setdefault(gid, []).extend(pts)
-    if not by_id:
-        raise DataFormatError(f"{path.name} contains no data rows")
     return Dataset(tuple(Group(gid, np.array(pts)) for gid, pts in by_id.items()))
 
 
@@ -272,15 +293,8 @@ def save_dataset(ds: Dataset, path) -> None:
 def load_labels(path) -> dict[str, str]:
     """Read an ``id,<value>`` table with a header row."""
     p = Path(path)
-    if not p.exists():
-        raise DataFormatError(f"no such file: {p}")
-    rows = list(_read_rows(p))
-    if not rows:
-        raise DataFormatError(f"{p.name} is empty")
     out: dict[str, str] = {}
-    for r, row in rows[1:]:
-        if not row:
-            continue
+    for r, row in _read_rows(p)[1:]:
         if len(row) != 2:
             raise DataFormatError(f"{p.name}: row {r} must have exactly 2 columns")
         out[row[0]] = row[1]
@@ -288,11 +302,7 @@ def load_labels(path) -> dict[str, str]:
 
 
 def save_labels(path, mapping: dict[str, str], value_name: str = "label") -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", value_name])
-        for gid in sorted(mapping):
-            writer.writerow([gid, mapping[gid]])
+    write_table(path, ["id", value_name], ([gid, mapping[gid]] for gid in sorted(mapping)))
 
 
 def with_labels(ds: Dataset, labels: dict[str, str]) -> Dataset:
@@ -308,33 +318,26 @@ def with_labels(ds: Dataset, labels: dict[str, str]) -> Dataset:
 def save_params(path, ids, names, values) -> None:
     """Write per-group numeric parameters: header ``id,<names...>``."""
     values = np.asarray(values, dtype=np.float64)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", *names])
-        for gid, row in zip(ids, values):
-            writer.writerow([gid, *[repr(float(v)) for v in np.atleast_1d(row)]])
+    write_table(path, ["id", *names], ([gid, *[repr(float(v)) for v in np.atleast_1d(row)]]
+                                       for gid, row in zip(ids, values)))
+
+
+def _numeric_table(p: Path):
+    """(column names, row ids, rows of values) of a table whose header is
+    ``id,<names...>`` and whose rows are ``<id>,<numbers...>``."""
+    (_, header), *body = _read_rows(p)
+    for r, row in body:
+        if len(row) != len(header):
+            raise DataFormatError(f"{p.name}: row {r} has {len(row)} columns, "
+                                  f"expected {len(header)}")
+    values, _ = _parse_point_rows([(r, row[1:]) for r, row in body], p.name, len(header) - 1)
+    return tuple(header[1:]), [row[0] for _, row in body], values
 
 
 def load_params(path) -> tuple[tuple[str, ...], dict[str, np.ndarray]]:
     """Read a params table; returns (column names, id -> value vector)."""
-    p = Path(path)
-    if not p.exists():
-        raise DataFormatError(f"no such file: {p}")
-    rows = list(_read_rows(p))
-    if not rows:
-        raise DataFormatError(f"{p.name} is empty")
-    header = rows[0][1]
-    names = tuple(header[1:])
-    out: dict[str, np.ndarray] = {}
-    for r, row in rows[1:]:
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise DataFormatError(f"{p.name}: row {r} has {len(row)} columns, "
-                                  f"expected {len(header)}")
-        vals, _ = _parse_point_rows([(r, row[1:])], p.name, len(names))
-        out[row[0]] = np.array(vals[0])
-    return names, out
+    names, ids, values = _numeric_table(Path(path))
+    return names, {gid: np.array(v) for gid, v in zip(ids, values)}
 
 
 # ---------------------------------------------------------------------------
@@ -346,34 +349,18 @@ def save_matrix(m: DivergenceMatrix, path) -> None:
     Entries use 9 significant digits, so save/load round-trips within
     1e-8 absolute for divergence-scale values.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", *m.ids])
-        for gid, row in zip(m.ids, m.values):
-            writer.writerow([gid, *[f"{v:.9g}" for v in row]])
+    write_table(path, ["id", *m.ids], ([gid, *[f"{v:.9g}" for v in row]]
+                                       for gid, row in zip(m.ids, m.values)))
 
 
 def load_matrix(path) -> DivergenceMatrix:
     """Read a divergence matrix written by save_matrix."""
     p = Path(path)
-    if not p.exists():
-        raise DataFormatError(f"no such file: {p}")
-    rows = [row for _, row in _read_rows(p) if row]
-    if not rows:
-        raise DataFormatError(f"{p.name} is empty")
-    ids = tuple(rows[0][1:])
+    ids, row_ids, values = _numeric_table(p)
     n = len(ids)
-    if len(rows) != n + 1:
-        raise DataFormatError(f"{p.name}: expected {n + 1} rows, found {len(rows)}")
-    values = np.zeros((n, n))
-    for i, (r, row) in enumerate(zip(range(2, n + 2), rows[1:])):
-        if len(row) != n + 1:
-            raise DataFormatError(f"{p.name}: row {r} has {len(row)} columns, "
-                                  f"expected {n + 1}")
-        if row[0] != ids[i]:
-            raise DataFormatError(
-                f"{p.name}: row id {row[0]!r} does not match header id {ids[i]!r}"
-            )
-        vals, _ = _parse_point_rows([(r, row[1:])], p.name, n)
-        values[i] = vals[0]
-    return DivergenceMatrix(ids, values, None)
+    if len(row_ids) != n:
+        raise DataFormatError(f"{p.name}: expected {n + 1} rows, found {len(row_ids) + 1}")
+    for row_id, gid in zip(row_ids, ids):
+        if row_id != gid:
+            raise DataFormatError(f"{p.name}: row id {row_id!r} does not match header id {gid!r}")
+    return DivergenceMatrix(ids, np.array(values).reshape(n, n), None)

@@ -401,10 +401,10 @@ def _sample_table(ds_from: "Dataset", ds_to: "Dataset", cfg: EstimatorConfig,
 
     Each column group answers one nu_k query over the stacked points of
     every row group paired with it, and each pair reduces its own slice
-    of nu_k as cfg asks. In d = 1 a row group stacks its index's sorted
-    line, so that the column's binary searches meet sorted runs of
-    queries, and its slice is scattered back through the index's
-    ``order``. The stacked queries of one column are a copy of at most
+    of nu_k as cfg asks. A row group stacks its index's ``queries``, in
+    d = 1 its sorted line, so that the column's binary searches meet
+    sorted runs of queries, and its slice is put back in point order by
+    the index. The stacked queries of one column are a copy of at most
     the whole dataset's points, and each thread holds one column's copy
     at a time.
     """
@@ -429,25 +429,20 @@ def _sample_table(ds_from: "Dataset", ds_to: "Dataset", cfg: EstimatorConfig,
         """nu_k of each paired group against index, in the group's point
         order, or the error its own query raises.
 
-        On the line each group queries with its sorted points, and its
-        slice of nu_k is put back in point order. After a
+        Each group queries with its index's ``queries``, sorted on the
+        line, and its slice of nu_k is put back in point order. After a
         DegenerateDistanceError every group queries again on its own, with
         its points in their order, so the error names the point as it is
         numbered in its group.
         """
         sizes = [g.points.shape[0] for g, _, _ in paired]
-        on_line = index.dim == 1
         try:
-            nu = knn.kth_nn_cross(
-                np.concatenate([ix.tree[:, None] if on_line else g.points for g, ix, _ in paired]),
-                index, k, workers=workers)
+            nu = knn.kth_nn_cross(np.concatenate([ix.queries for _, ix, _ in paired]),
+                                  index, k, workers=workers)
         except DegenerateDistanceError:
             return [own_nu(g, index, workers) for g, _, _ in paired]
-        parts = np.split(nu, np.cumsum(sizes[:-1]))
-        if on_line:
-            for part, (_, ix, _) in zip(parts, paired):
-                part[ix.order] = part.copy()
-        return parts
+        return [ix.in_point_order(part)
+                for part, (_, ix, _) in zip(np.split(nu, np.cumsum(sizes[:-1])), paired)]
 
     def own_nu(g, index, workers):
         try:

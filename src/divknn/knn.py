@@ -150,6 +150,17 @@ class NeighborIndex:
     def dim(self) -> int:
         return self.points.shape[1]
 
+    @property
+    def queries(self) -> np.ndarray:
+        """The points in the order that queries the index fastest: sorted on the line."""
+        return self.points if self.order is None else self.tree[:, None]
+
+    def in_point_order(self, values: np.ndarray) -> np.ndarray:
+        """values, one per row of ``queries``, put in point order in place."""
+        if self.order is not None:
+            values[self.order] = values.copy()
+        return values
+
     def _rank_distances(self, queries: np.ndarray, ranks: tuple, workers: int) -> np.ndarray:
         """Distances to the indexed points of the given 1-based neighbor
         ranks (ascending, at most the index size), one column per rank."""
@@ -374,14 +385,9 @@ def kth_nn_within(index: NeighborIndex, k: int, *, workers: int = 1) -> np.ndarr
     duplicate rows; callers that need strictly positive distances must
     screen for that.
     """
-    # On the line the sorted points query the index, and their rows are
-    # put back in point order: row i is point order[i]'s.
-    on_line = index.order is not None
-    queries = index.tree[:, None] if on_line else index.points
-    rho = _kth_within(index.size, k, lambda ranks: index._rank_distances(queries, ranks, workers))
-    if on_line:
-        rho[index.order] = rho.copy()
-    return rho
+    rho = _kth_within(
+        index.size, k, lambda ranks: index._rank_distances(index.queries, ranks, workers))
+    return index.in_point_order(rho)
 
 
 def kth_nn_cross(query_points, index: NeighborIndex, k: int, *, workers: int = 1) -> np.ndarray:

@@ -27,6 +27,9 @@ GAUSS_TRUNC_SIGMAS = 10.0
 MASS_LOSS_TOL = 1e-6
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-10, limit=200)
 _GL_NODES = 240  # per-axis Gauss-Legendre order for 2-D integrals
+# Gauss-Legendre order of the 1-D sine integral: 200 nodes agree with
+# 600 to 1e-13 on the seed-0 sine matrix, 100 nodes only to 6e-6.
+_SINE_GL_NODES = 200
 
 
 @dataclass(frozen=True)
@@ -279,6 +282,22 @@ def true_l2_squared(p, q) -> float:
 
 def true_l2(p, q) -> float:
     return math.sqrt(max(0.0, true_l2_squared(p, q)))
+
+
+def sine_renyi_half_matrix(thetas, noise_std: float) -> np.ndarray:
+    """Exact Renyi-1/2 divergences between noisy-sine groups of these
+    thetas: x ~ U[0, 2 pi], y | x ~ N(sin(theta x), s^2), s = noise_std.
+
+    The y-integral of sqrt(p q) is exp(-(a - b)^2 / (8 s^2)) for curve
+    heights a, b, so D = -2 log I with I the mean of that over x: a 1-D
+    integral on fixed Gauss-Legendre nodes.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(_SINE_GL_NODES)
+    heights = np.sin(np.outer(thetas, math.pi * (nodes + 1.0)))
+    gap = heights[:, None, :] - heights[None, :, :]
+    exact = -2.0 * np.log(np.exp(-gap * gap / (8.0 * noise_std ** 2)) @ (weights / 2.0))
+    np.fill_diagonal(exact, 0.0)
+    return exact
 
 
 # ---------------------------------------------------------------------------

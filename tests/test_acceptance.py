@@ -264,9 +264,6 @@ def test_c07_gaussian_grid_embedding():
 # (0.94 at a gap of 0.3 from theta = 2) and stay at 1.3-1.4 from a
 # gap of 0.5 on, so C08 gates frequency order on closer pairs.
 SINE_LOCAL_GAP = 0.3
-# Gauss-Legendre order of the 1-D sine integral: 200 nodes agree with
-# 600 to 1e-13 on the seed-0 matrix, 100 nodes only to 6e-6.
-SINE_GL_NODES = 200
 
 
 class _SineDensity:
@@ -294,28 +291,6 @@ class _SineDensity:
         return np.exp(-0.5 * z * z) / norm
 
 
-def _exact_sine_renyi(thetas):
-    """Exact Renyi-1/2 divergence matrix of sine groups with these thetas.
-
-    With p = phi_s(y - sin(t1 x)) / (2 pi) and q likewise for t2, the
-    inner y-integral of sqrt(p q) completes the square to
-    exp(-(a - b)^2 / (8 s^2)) for curve heights a, b, leaving
-      I = (1/2pi) int_0^2pi exp(-(sin(t1 x) - sin(t2 x))^2 / (8 s^2)) dx
-    and D = log(I) / (1/2 - 1) = -2 log I. The 1-D integral runs on
-    fixed Gauss-Legendre nodes; C08 checks it against the oracle's 2-D
-    tensor quadrature.
-    """
-    nodes, weights = np.polynomial.legendre.leggauss(SINE_GL_NODES)
-    x = math.pi * (nodes + 1.0)
-    heights = np.sin(np.outer(thetas, x))
-    gap = heights[:, None, :] - heights[None, :, :]
-    kernel = np.exp(-gap * gap / (8.0 * synth.SINE_NOISE_STD ** 2))
-    integral = kernel @ (weights / 2.0)
-    exact = -2.0 * np.log(integral)
-    np.fill_diagonal(exact, 0.0)
-    return exact
-
-
 def _sine_order_stats(w_est, thetas):
     """C08's statistics for an estimated matrix, thetas in its id order.
 
@@ -324,8 +299,8 @@ def _sine_order_stats(w_est, thetas):
     between the estimated and exact 2-D MDS embeddings, and the
     first-axis |Spearman| against theta of each embedding.
     """
-    w_true = estimators.DivergenceMatrix(w_est.ids, _exact_sine_renyi(thetas),
-                                         None)
+    exact = oracle.sine_renyi_half_matrix(thetas, synth.SINE_NOISE_STD)
+    w_true = estimators.DivergenceMatrix(w_est.ids, exact, None)
     upper = np.triu_indices(len(thetas), 1)
     gap = np.abs(thetas[:, None] - thetas[None, :])[upper]
     near = gap < SINE_LOCAL_GAP
@@ -360,7 +335,7 @@ def test_c08_sine_frequency_ordering():
     for pair in ((2.0, 2.1), (3.0, 3.2), (2.5, 3.9)):
         want = oracle.true_renyi(_SineDensity(pair[0]), _SineDensity(pair[1]),
                                  0.5)
-        got = _exact_sine_renyi(np.array(pair))[0, 1]
+        got = oracle.sine_renyi_half_matrix(np.array(pair), synth.SINE_NOISE_STD)[0, 1]
         worst = max(worst, abs(got - want) / want)
 
     ds, _, params = synth.gen_noisy_sine(60, seed=0)

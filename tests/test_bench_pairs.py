@@ -1,4 +1,5 @@
-"""scripts/bench_pairs.py's run_once against stub checkouts: how each run ended."""
+"""scripts/bench_pairs.py: how each run against a stub checkout ended, and the
+gain flag summarize gives synthetic pairs."""
 
 import importlib.util
 import json
@@ -74,3 +75,36 @@ def test_the_default_timeout_is_generous(bench_pairs, tmp_path, monkeypatch):
     got = bench_pairs.run_once(tmp_path, "ggrid", 0, 20.0, False)
     assert got["how_it_ended"] == "timed_out" and got["stderr"] == ""
     assert seen["timeout"] == 10 * 20.0 + bench_pairs.SETUP_S
+
+
+# Ten parent runs 1.00 ... 1.09: median 1.045, q3 - q1 = 0.045.
+_PARENT = [1.0 + i / 100 for i in range(10)]
+
+
+def _pairs(parent, change, name="wall_s"):
+    def side(value):
+        return {"ok": True, "result": {"metrics": {name: {"value": value}}}}
+
+    return [{"parent": side(a), "change": side(b)} for a, b in zip(parent, change)]
+
+
+@pytest.mark.parametrize("better, change, wins, gain", [
+    # 10/10 wins, median better by 0.2, past the parent's IQR
+    ("lower", [p - 0.2 for p in _PARENT], 10, True),
+    # 9/10 wins past the IQR
+    ("lower", [p - 0.2 for p in _PARENT[:9]] + [_PARENT[9] + 0.01], 9, True),
+    # 9/10 wins, median better by 0.01, inside the IQR
+    ("lower", [p - 0.01 for p in _PARENT[:9]] + [_PARENT[9] + 0.01], 9, False),
+    # 8/10 wins past the IQR
+    ("lower", [p - 0.2 for p in _PARENT[:8]] + [p + 0.01 for p in _PARENT[8:]], 8, False),
+    # 8 wins and 2 ties: a tie counts for neither side
+    ("lower", [p - 0.2 for p in _PARENT[:8]] + _PARENT[8:], 8, False),
+    # a higher-is-better metric
+    ("higher", [p + 0.2 for p in _PARENT], 10, True),
+    ("higher", [p - 0.2 for p in _PARENT], 0, False),
+])
+def test_gain_needs_nine_in_ten_wins_and_a_median_past_the_parents_iqr(
+        bench_pairs, better, change, wins, gain):
+    declared = [{"name": "wall_s", "unit": "s", "better": better, "bound": 0.25}]
+    got = bench_pairs.summarize(_pairs(_PARENT, change), declared)["wall_s"]
+    assert (got["change_wins"], got["pairs"], got["gain"]) == (wins, 10, gain)

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: pipelines, file formats, exit codes, determinism."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -288,6 +290,80 @@ def test_single_class_truth_exits_2(tmp_path):
     assert run("anomaly", "--train", str(train_dir), "--test", str(test_dir),
                "--k", "5", "--kanom", "2", "--out", str(tmp_path / "s.csv"),
                "--truth", str(flags)) == 2
+
+
+# ---------------------------------------------------------------------------
+# Unreadable or incomplete input files: exit 1 with one error line.
+
+_BLOCKS = "id,a,b,c,d\na,0,0.1,2,2\nb,0.1,0,2,2\nc,2,2,0,0.1\nd,2,2,0.1,0\n"
+
+
+def _one_error_line(capsys, code):
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    return err.strip()
+
+
+def _group_dir(tmp_path, b: bytes):
+    d = tmp_path / "d"
+    d.mkdir()
+    (d / "a.csv").write_text("1.0\n2.0\n3.5\n")
+    (d / "b.csv").write_bytes(b)
+    return d
+
+
+def _cluster_truth(tmp_path, truth: bytes):
+    (tmp_path / "w.csv").write_text(_BLOCKS)
+    (tmp_path / "truth.csv").write_bytes(truth)
+    return run("cluster", "--matrix", str(tmp_path / "w.csv"), "--clusters", "2",
+               "--out", str(tmp_path / "c.csv"), "--truth", str(tmp_path / "truth.csv"))
+
+
+def test_a_field_past_the_csv_limit_exits_1_naming_the_file(tmp_path, capsys):
+    long = "2" * (csv.field_size_limit() + 1)
+    past = f"field larger than field limit ({csv.field_size_limit()})"
+    w = str(tmp_path / "w.csv")
+
+    d = _group_dir(tmp_path, f"1.0\n{long}\n".encode())
+    assert _one_error_line(capsys, run("estimate", "--input", str(d), "--k", "2", "--out", w)) \
+        == f"error: group 'b' (b.csv): row 2: {past}"
+
+    single = tmp_path / "data.csv"
+    single.write_text(f"a,1.0\na,2.0\nb,{long}\n")
+    assert _one_error_line(capsys, run("estimate", "--input", str(single), "--k", "2", "--out", w)) \
+        == f"error: data.csv: row 3: {past}"
+
+    assert _one_error_line(capsys, _cluster_truth(tmp_path, f"id,label\na,{long}\n".encode())) \
+        == f"error: truth.csv: row 2: {past}"
+
+
+def test_bytes_that_are_not_utf8_exit_1_naming_the_file(tmp_path, capsys):
+    d = _group_dir(tmp_path, b"1.0\n2.\xff0\n")
+    err = _one_error_line(capsys, run("estimate", "--input", str(d), "--k", "2",
+                                      "--out", str(tmp_path / "w.csv")))
+    assert err.startswith("error: group 'b' (b.csv): 'utf-8' codec can't decode byte 0xff")
+    err = _one_error_line(capsys, _cluster_truth(tmp_path, b"id,label\na,\xff\n"))
+    assert err.startswith("error: truth.csv: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_metadata_that_lacks_ids_exits_1_naming_them(tmp_path, capsys):
+    partial = b"id,label\nb,x\nd,y\n"
+    assert _one_error_line(capsys, _cluster_truth(tmp_path, partial)) \
+        == "error: truth file lacks ids: a, c"
+
+    (tmp_path / "params.csv").write_text("id,theta\na,1.0\n")
+    assert _one_error_line(capsys, run(
+        "embed", "--matrix", str(tmp_path / "w.csv"), "--out", str(tmp_path / "e.csv"),
+        "--svg", str(tmp_path / "e.svg"), "--color-by", str(tmp_path / "params.csv"))) \
+        == "error: params file lacks ids: b, c, d"
+
+    d = _group_dir(tmp_path, b"0.5\n1.5\n4.0\n")
+    (tmp_path / "flags.csv").write_text("id,flag\nb,1\n")
+    assert _one_error_line(capsys, run(
+        "anomaly", "--train", str(d), "--test", str(d), "--k", "2", "--kanom", "1",
+        "--out", str(tmp_path / "s.csv"), "--truth", str(tmp_path / "flags.csv"))) \
+        == "error: flags file lacks ids: a"
 
 
 # ---------------------------------------------------------------------------

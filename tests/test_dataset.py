@@ -178,12 +178,11 @@ def test_saved_group_files_match_the_csv_writer_bytes(tmp_path, d):
 # Group-file parsing: the np.loadtxt fast path against the csv path.
 
 def _csv_path_group(path):
-    """A group file parsed cell by cell with csv and float(), as every
-    file not taken by the plain-decimal fast path is."""
+    """A group file parsed cell by cell by the CSV reader and float(), as
+    every file not taken by the plain-decimal fast path is."""
     gid = path.stem
-    points, _ = dsm._parse_point_rows(dsm._read_rows(path), f"group '{gid}' ({path.name})", None)
-    if not points:
-        raise DataFormatError(f"group file {path.name} contains no points")
+    where = f"group '{gid}' ({path.name})"
+    points, _ = dsm._parse_point_rows(dsm._read_rows(path, where), where, None)
     return Group(gid, np.array(points))
 
 
@@ -275,7 +274,7 @@ def test_fast_path_matches_csv_path(tmp_path_factory, monkeypatch):
 
 def test_fields_past_the_csv_limit_take_the_csv_path(tmp_path, monkeypatch):
     # loadtxt has no field size limit; csv raises past its own, and so
-    # must the load.
+    # must the load, naming the file and row.
     seen = _count_parses(monkeypatch)
     limit = csv.field_size_limit(40)
     try:
@@ -289,7 +288,92 @@ def test_fields_past_the_csv_limit_take_the_csv_path(tmp_path, monkeypatch):
     finally:
         csv.field_size_limit(limit)
     assert seen == {"fast": 1, "csv": 1}
-    assert got["long"] == (csv.Error, "field larger than field limit (40)")
+    assert got["long"] == (DataFormatError,
+                           "group 'g' (g.csv): row 1: field larger than field limit (40)")
+
+
+@pytest.fixture
+def field_limit_40():
+    """csv.field_size_limit() at 40 characters for the test."""
+    limit = csv.field_size_limit(40)
+    yield
+    csv.field_size_limit(limit)
+
+
+# Every reader, over a file it reads: (file name, text around one {cell},
+# loader of the path, the prefix of the file's error messages).
+_READERS = [
+    ("d/b.csv", "1.5\n{cell}\n", lambda p: dsm.load_dataset(p.parent), "group 'b' (b.csv)"),
+    ("data.csv", "a,1.5\nb,{cell}\n", dsm.load_dataset, "data.csv"),
+    ("labels.csv", "id,label\na,{cell}\n", dsm.load_labels, "labels.csv"),
+    ("params.csv", "id,theta\na,{cell}\n", dsm.load_params, "params.csv"),
+    ("w.csv", "id,a,b\na,0,{cell}\nb,{cell},0\n", dsm.load_matrix, "w.csv"),
+]
+
+
+def _reader_file(tmp_path, name):
+    """The path of a file named name; a group file gets a good sibling."""
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "a.csv").write_text("0.5\n2.5\n")
+    return tmp_path / name
+
+
+@pytest.mark.parametrize("name, text, load, where", _READERS)
+def test_a_field_past_the_csv_limit_names_the_file_and_row(
+        tmp_path, field_limit_40, name, text, load, where):
+    path = _reader_file(tmp_path, name)
+    path.write_text(text.format(cell="1" * 40))
+    load(path)
+    path.write_text(text.format(cell="1" * 41))
+    with pytest.raises(DataFormatError) as err:
+        load(path)
+    assert str(err.value) == f"{where}: row 2: field larger than field limit (40)"
+
+
+@pytest.mark.parametrize("name, text, load, where", _READERS)
+def test_bytes_that_are_not_utf8_name_the_file(tmp_path, name, text, load, where):
+    path = _reader_file(tmp_path, name)
+    data = text.format(cell="2.0").encode("utf-8")
+    at = data.index(b"2.0") + 2
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
+    with pytest.raises(DataFormatError) as err:
+        load(path)
+    assert str(err.value) == (f"{where}: 'utf-8' codec can't decode byte 0xff in "
+                              f"position {at}: invalid start byte")
+
+
+@pytest.mark.parametrize("name, text, load, where", _READERS)
+def test_a_blank_file_names_the_file(tmp_path, name, text, load, where):
+    path = _reader_file(tmp_path, name)
+    path.write_text("\n\r\n\n")
+    with pytest.raises(DataFormatError) as err:
+        load(path)
+    assert str(err.value) == f"{where} is empty"
+
+
+@pytest.mark.parametrize("load", [dsm.load_labels, dsm.load_params, dsm.load_matrix])
+def test_a_missing_table_names_the_file(tmp_path, load):
+    with pytest.raises(DataFormatError, match="no such file: .*nope.csv"):
+        load(tmp_path / "nope.csv")
+
+
+def test_blank_lines_are_skipped_and_rows_keep_their_numbers(tmp_path):
+    # The first non-blank line of a table is its header.
+    f = tmp_path / "labels.csv"
+    f.write_text("\nid,label\n\na,x\n")
+    assert dsm.load_labels(f) == {"a": "x"}
+    f = tmp_path / "params.csv"
+    f.write_text("\r\nid,theta\na,1.5\n\n")
+    names, table = dsm.load_params(f)
+    assert names == ("theta",) and table["a"].tolist() == [1.5]
+    f = tmp_path / "w.csv"
+    f.write_text("\nid,a,b\na,0,1\n\nb,1,zero\n")
+    with pytest.raises(DataFormatError, match=r"^w\.csv: non-numeric value 'zero' at row 5, "):
+        dsm.load_matrix(f)
+    f = tmp_path / "data.csv"
+    f.write_text("\ng1,0.5\n\ng1,x\n")
+    with pytest.raises(DataFormatError, match=r"at row 4, column 1"):
+        dsm.load_dataset(f)
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,8 @@ def _directed_fit(cfg):
             return gaussian_renyi(p, q, cfg.alpha) if cfg.kind == RENYI else gaussian_l2(p, q)
         except DivknnError as exc:
             return exc
-    return lambda paired, col, workers: [directed(row, col) for row in paired]
+    return lambda fits, skip, col, workers: [directed(row, col)
+                                             for i, row in enumerate(fits) if i != skip]
 
 
 def baseline_matrix(ds, cfg):

@@ -23,7 +23,8 @@ On-disk formats (UTF-8, comma separators, '.' decimal point):
 
 Every CSV is read by one reader, which skips blank lines (a table's
 header is its first non-blank line), and written by ``write_table``.
-Every read error is a DataFormatError that names its file.
+Every read error is a DataFormatError that names its file; an id that
+a labels, flags or params table or a matrix header names twice is one.
 
 Groups are ordered lexicographically by id everywhere so that matrix
 indices never depend on filesystem enumeration order.
@@ -293,12 +294,22 @@ def save_dataset(ds: Dataset, path) -> None:
 def load_labels(path) -> dict[str, str]:
     """Read an ``id,<value>`` table with a header row."""
     p = Path(path)
-    out: dict[str, str] = {}
-    for r, row in _read_rows(p)[1:]:
+    body = _read_rows(p)[1:]
+    for r, row in body:
         if len(row) != 2:
             raise DataFormatError(f"{p.name}: row {r} must have exactly 2 columns")
-        out[row[0]] = row[1]
-    return out
+    _once(p, [(r, row[0]) for r, row in body], "rows")
+    return {row[0]: row[1] for _, row in body}
+
+
+def _once(p: Path, numbered, where: str) -> None:
+    """Raise DataFormatError on the first id of the (number, id) pairs
+    that repeats, naming the file, the id and both numbers."""
+    seen: dict[str, int] = {}
+    for n, gid in numbered:
+        if gid in seen:
+            raise DataFormatError(f"{p.name}: id {gid!r} repeats in {where} {seen[gid]} and {n}")
+        seen[gid] = n
 
 
 def save_labels(path, mapping: dict[str, str], value_name: str = "label") -> None:
@@ -331,13 +342,15 @@ def _numeric_table(p: Path):
             raise DataFormatError(f"{p.name}: row {r} has {len(row)} columns, "
                                   f"expected {len(header)}")
     values, _ = _parse_point_rows([(r, row[1:]) for r, row in body], p.name, len(header) - 1)
-    return tuple(header[1:]), [row[0] for _, row in body], values
+    return tuple(header[1:]), [(r, row[0]) for r, row in body], values
 
 
 def load_params(path) -> tuple[tuple[str, ...], dict[str, np.ndarray]]:
     """Read a params table; returns (column names, id -> value vector)."""
-    names, ids, values = _numeric_table(Path(path))
-    return names, {gid: np.array(v) for gid, v in zip(ids, values)}
+    p = Path(path)
+    names, ids, values = _numeric_table(p)
+    _once(p, ids, "rows")
+    return names, {gid: np.array(v) for (_, gid), v in zip(ids, values)}
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +370,11 @@ def load_matrix(path) -> DivergenceMatrix:
     """Read a divergence matrix written by save_matrix."""
     p = Path(path)
     ids, row_ids, values = _numeric_table(p)
+    _once(p, enumerate(ids, 2), "header columns")
     n = len(ids)
     if len(row_ids) != n:
         raise DataFormatError(f"{p.name}: expected {n + 1} rows, found {len(row_ids) + 1}")
-    for row_id, gid in zip(row_ids, ids):
+    for (_, row_id), gid in zip(row_ids, ids):
         if row_id != gid:
             raise DataFormatError(f"{p.name}: row id {row_id!r} does not match header id {gid!r}")
     return DivergenceMatrix(ids, np.array(values).reshape(n, n), None)

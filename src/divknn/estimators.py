@@ -11,10 +11,11 @@ Every matrix is a view of one directed table of estimates from row
 groups to column groups; symmetrizing averages it with its reverse. A
 group in both datasets is never paired with itself and its cell is 0.
 The sample-based table is filled one column at a time: the column
-group's index answers a single nu_k query over the stacked points of
-all its row groups, which is then sliced per pair. On a 1-D column each
-row group stacks its points in sorted order, and its slice is put back
-in point order.
+group's index answers a single nu_k query over the points of all its
+row groups, taken from one ``knn.QueryBatch`` built per direction before
+any column, and the batch splits nu_k per pair in each group's point
+order. How the batch orders the queries (sorted on the line) is knn's
+concern alone.
 
 All estimation functions are pure given immutable inputs. The optional
 ``workers`` argument never changes any value. The pair functions pass
@@ -32,6 +33,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from typing import TYPE_CHECKING
 
@@ -323,15 +325,17 @@ def _thread_count(workers) -> int:
 
 
 def _divergence_table(ds_from: "Dataset", ds_to: "Dataset", prepare, column,
-                      symmetric: bool, workers: int) -> np.ndarray:
+                      symmetric: bool, workers: int, gather=list) -> np.ndarray:
     """Directed divergences from ds_from's groups to ds_to's, symmetrized on request.
 
     ``prepare(group, workers)`` gives a group's item (index and rho_k, or
-    a fit), ``column(paired, col, workers)`` the directed value or
-    DivknnError from each item of ``paired`` to col. ds_from's groups
-    are prepared first. A group of ds_to with the id and bitwise-equal
-    points of a group of ds_from is that group: prepared once, never
-    paired with itself, its cell 0. The reverse table is the transpose
+    a fit). Each direction's row items are gathered once by
+    ``gather(rows)``, before any column, and ``column(gathered, skip, col,
+    workers)`` gives the directed value or DivknnError from each row item
+    but the one numbered skip (None for none) to col, in row order.
+    ds_from's groups are prepared first. A group of ds_to with the id and
+    bitwise-equal points of a group of ds_from is that group: prepared
+    once, never paired with itself, its cell 0. The reverse table is the transpose
     when each column is the row at its position, and is built otherwise.
     Of several failing pairs the first in row-major order raises, the
     forward table's first.
@@ -371,14 +375,18 @@ def _divergence_table(ds_from: "Dataset", ds_to: "Dataset", prepare, column,
         to_items = run(to_item, ds_to.groups)
 
         def directed(rows, cols):
-            paired = [[i for i, row in enumerate(rows) if row is not col] for col in cols]
-            used = [j for j, p in enumerate(paired) if p]
-            values = run(column, [[rows[i] for i in paired[j]] for j in used],
+            # the row that is each column's own group, paired with nothing;
+            # a column with no other row makes no query
+            own = [next((i for i, row in enumerate(rows) if row is col), None) for col in cols]
+            used = [j for j, skip in enumerate(own) if len(rows) > (skip is not None)]
+            gathered = gather(rows)
+            values = run(partial(column, gathered), [own[j] for j in used],
                          [cols[j] for j in used])
             table = np.zeros((len(rows), len(cols)))
             failures = {}
             for j, column_values in zip(used, values):
-                for i, value in zip(paired[j], column_values):
+                paired = [i for i in range(len(rows)) if i != own[j]]
+                for i, value in zip(paired, column_values):
                     if isinstance(value, DivknnError):
                         failures[i, j] = value
                     else:
@@ -399,14 +407,14 @@ def _sample_table(ds_from: "Dataset", ds_to: "Dataset", cfg: EstimatorConfig,
                   workers: int) -> np.ndarray:
     """The table of sample-based divergences from ds_from's groups to ds_to's.
 
-    Each column group answers one nu_k query over the stacked points of
-    every row group paired with it, and each pair reduces its own slice
-    of nu_k as cfg asks. A row group stacks its index's ``queries``, in
-    d = 1 its sorted line, so that the column's binary searches meet
-    sorted runs of queries, and its slice is put back in point order by
-    the index. The stacked queries of one column are a copy of at most
-    the whole dataset's points, and each thread holds one column's copy
-    at a time.
+    Each direction gathers its row groups' indexes into one
+    ``knn.QueryBatch`` before any column; on d = 1 that sorts all their
+    points once. Each column group answers one nu_k query over the
+    batch less its own group, and each pair reduces its own slice of
+    nu_k, back in its group's point order, as cfg asks. The batch holds
+    at most one sorted copy of the dataset's points (on d = 1) per
+    direction, and each column's queries and nu_k are a copy of at most
+    the whole dataset's points, one column per thread at a time.
     """
     k = cfg.k
     b = correction_factor(k, cfg.alpha) if cfg.kind == RENYI else math.nan
@@ -425,24 +433,22 @@ def _sample_table(ds_from: "Dataset", ds_to: "Dataset", cfg: EstimatorConfig,
             raise DegenerateDistanceError(f"group '{g.id}': {exc}") from None
         return g, index, rho
 
-    def cross_nu(paired, index, workers):
-        """nu_k of each paired group against index, in the group's point
-        order, or the error its own query raises.
+    def cross_nu(rows, batch, skip, index, workers):
+        """nu_k of each row group but skip against index, in the group's
+        point order, or the error its own query raises.
 
-        Each group queries with its index's ``queries``, sorted on the
-        line, and its slice of nu_k is put back in point order. After a
-        DegenerateDistanceError every group queries again on its own, with
-        its points in their order, so the error names the point as it is
-        numbered in its group.
+        The groups query together, from their ``batch``, sorted on the
+        line. After a DegenerateDistanceError every group queries again
+        on its own, with its points in their order, so the error names the
+        point as it is numbered in its group.
         """
-        sizes = [g.points.shape[0] for g, _, _ in paired]
+        queries, split = batch.query(skip)
         try:
-            nu = knn.kth_nn_cross(np.concatenate([ix.queries for _, ix, _ in paired]),
-                                  index, k, workers=workers)
+            nu = knn.kth_nn_cross(queries, index, k, workers=workers)
         except DegenerateDistanceError:
-            return [own_nu(g, index, workers) for g, _, _ in paired]
-        return [ix.in_point_order(part)
-                for part, (_, ix, _) in zip(np.split(nu, np.cumsum(sizes[:-1])), paired)]
+            return [own_nu(g, index, workers)
+                    for i, (g, _, _) in enumerate(rows) if i != skip]
+        return split(nu)
 
     def own_nu(g, index, workers):
         try:
@@ -464,11 +470,17 @@ def _sample_table(ds_from: "Dataset", ds_to: "Dataset", cfg: EstimatorConfig,
         except NonFiniteEstimateError as exc:
             return NonFiniteEstimateError(f"from group '{g_from.id}' to '{g_to.id}': {exc}")
 
-    def column(paired, col, workers):
-        return [estimate(row, col, nu)
-                for row, nu in zip(paired, cross_nu(paired, col[1], workers))]
+    def gather(rows):
+        return rows, knn.QueryBatch([index for _, index, _ in rows])
 
-    return _divergence_table(ds_from, ds_to, prepare, column, cfg.symmetrize, workers)
+    def column(gathered, skip, col, workers):
+        rows, batch = gathered
+        paired = [row for i, row in enumerate(rows) if i != skip]
+        return [estimate(row, col, nu)
+                for row, nu in zip(paired, cross_nu(rows, batch, skip, col[1], workers))]
+
+    return _divergence_table(ds_from, ds_to, prepare, column, cfg.symmetrize, workers,
+                             gather)
 
 
 def divergence_matrix(ds: "Dataset", cfg: EstimatorConfig, *, workers: int = 1) -> DivergenceMatrix:

@@ -14,13 +14,14 @@ built:
 * d = 1, sorted line: on a line a query's squared distances to the
   sorted sample fall and then rise, so its r nearest points are a run of
   r consecutive sorted points, and the r-th smallest distance is the
-  larger of the run's two end values. One binary search per query and
-  rank, among the midpoints of points r apart, finds the run, and a
-  check of its two outer neighbours proves it, ties included; the few
-  rows that fail it take a 2kq-wide sorted window (kq the largest rank
-  asked for). Callers that query with a whole sample's points, such as
-  the within-sample query and a matrix build, pass them in sorted
-  order, which keeps the binary searches' branches predictable;
+  larger of the run's two end values. The run starts after the midpoints
+  of points r apart that lie below the query. With the queries sorted,
+  one search per midpoint and rank over the sorted queries places every
+  query's run, and a check of the run's two outer neighbours proves it,
+  ties included; the few rows that fail it take a 2kq-wide sorted window
+  (kq the largest rank asked for). Queries that arrive unsorted are sorted
+  first and their rows put back. The within-sample query and a matrix
+  build (through a ``QueryBatch``) pass theirs sorted already;
 * 2 <= d <= 15, kd-tree: a balanced ``scipy.spatial.cKDTree``;
 * d > 15, brute force, screened: with the points centered on their
   mean c, ||p - c||^2 - 2 (q - c).(p - c), one small matrix product per
@@ -66,6 +67,7 @@ force in eight, so there the two may differ in the last bits.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -150,17 +152,6 @@ class NeighborIndex:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    @property
-    def queries(self) -> np.ndarray:
-        """The points in the order that queries the index fastest: sorted on the line."""
-        return self.points if self.order is None else self.tree[:, None]
-
-    def in_point_order(self, values: np.ndarray) -> np.ndarray:
-        """values, one per row of ``queries``, put in point order in place."""
-        if self.order is not None:
-            values[self.order] = values.copy()
-        return values
-
     def _rank_distances(self, queries: np.ndarray, ranks: tuple, workers: int) -> np.ndarray:
         """Distances to the indexed points of the given 1-based neighbor
         ranks (ascending, at most the index size), one column per rank."""
@@ -189,8 +180,8 @@ def _in_blocks(n: int, row_bytes: int, ncols: int, block,
 
 def _line_rank_distances(q: np.ndarray, line: np.ndarray, ranks: tuple) -> np.ndarray:
     """Route for d = 1 against ``line``, the sorted sample c_0 <= ... <=
-    c_(m-1): one binary search per query and rank; bitwise equal to
-    _brute_rank_distances.
+    c_(m-1): one binary search per midpoint and rank over the sorted
+    queries; bitwise equal to _brute_rank_distances.
 
     The squared distances a_j = (q - c_j)**2, formed as brute force forms
     them, never rise over the points c_j <= q and never fall over the
@@ -207,22 +198,36 @@ def _line_rank_distances(q: np.ndarray, line: np.ndarray, ranks: tuple) -> np.nd
     subnormal points, whose halves round). The rows that fail it are
     answered by _window_rank_distances.
 
+    The run starts come from a merge of the midpoints into the queries,
+    taken in sorted order (argsorted first only if they are not, and
+    their rows put back afterwards). With pos_t the number of queries at
+    or below midpoint t, one search per midpoint, midpoint t lies below
+    query i exactly when pos_t <= i; so the run starts of a block of
+    query rows are the midpoint numbers repeated over the gaps between
+    the pos_t that fall inside it, the same i0 that a search per query
+    would find.
+
     A block's row holds the run start, up to four gathered, subtracted or
     squared values, a few masks and its results.
     """
-    m = line.shape[0]
+    n, m = q.shape[0], line.shape[0]
+    by = None
+    if (q[1:] < q[:-1]).any():
+        by = np.argsort(q, kind="stable")
+        q = q[by]
     half = line * 0.5
     mids = [half[:m - r] + half[r:] for r in ranks]
+    pos = [np.searchsorted(q, mid, "right") for mid in mids]
     # the line between two infinitely far points, so that every run has
     # outer neighbours
     padded = np.concatenate(([-np.inf], line, [np.inf]))
-    exact = np.ones(q.shape[0], dtype=bool)
+    exact = np.ones(n, dtype=bool)
 
     def block(rows):
         qb, ok = q[rows], exact[rows]
         out = np.empty((len(qb), len(ranks)))
-        for j, (r, mid) in enumerate(zip(ranks, mids)):
-            i0 = np.searchsorted(mid, qb)
+        for j, (r, p) in enumerate(zip(ranks, pos)):
+            i0 = _run_starts(p, rows.start, rows.start + len(qb))
             v = (qb - padded[1:].take(i0)) ** 2
             if r > 1:
                 np.maximum(v, (qb - padded[r:].take(i0)) ** 2, out=v)
@@ -232,11 +237,23 @@ def _line_rank_distances(q: np.ndarray, line: np.ndarray, ranks: tuple) -> np.nd
             out[:, j] = v
         return np.sqrt(out, out=out)
 
-    out = _in_blocks(q.shape[0], (6 + len(ranks)) * 8, len(ranks), block)
+    out = _in_blocks(n, (6 + len(ranks)) * 8, len(ranks), block)
     redo = np.flatnonzero(~exact)
     if redo.size:
         out[redo] = _window_rank_distances(q[redo], line, ranks)
+    if by is not None:
+        out[by] = out.copy()
     return out
+
+
+def _run_starts(pos: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """The run starts of sorted query rows start..stop-1: for row i, the
+    number of midpoints t with pos[t] <= i, where pos[t] (ascending) is
+    the number of queries at or below midpoint t. Midpoint numbers
+    repeated over the gaps between the pos[t] inside the rows."""
+    lo, hi = pos.searchsorted((start, stop - 1), "right")
+    gaps = np.diff(np.concatenate(([start], pos[lo:hi], [stop])))
+    return np.repeat(np.arange(lo, hi + 1), gaps)
 
 
 def _window_rank_distances(q: np.ndarray, line: np.ndarray, ranks: tuple) -> np.ndarray:
@@ -373,6 +390,61 @@ def _certified_candidates(qb, points, cand, boundary, margin, kq):
     return d2, np.isfinite(bound) & (bound >= d2[:, -1])
 
 
+class QueryBatch:
+    """The points of several indexed groups as the query rows of
+    cross-sample queries, in the order that answers them fastest.
+
+    On d = 1 ``line`` holds every group's points, sorted once, and
+    ``order`` the permutation that sorts them (int32 where the points'
+    number fits): line[i] is point order[i] of the groups stacked in
+    their order, in which group g holds points bounds[g]:bounds[g + 1].
+    Leaving a group out compresses the line, which keeps it sorted. A
+    query's distances depend on its value alone, so the sort need not be
+    stable; a batch of one group takes its index's sorted line and order
+    as they are. On d >= 2 both are None and the queries are the groups'
+    points stacked. Read-only, so safe for concurrent queries.
+    """
+
+    __slots__ = ("groups", "bounds", "line", "order")
+
+    def __init__(self, indexes):
+        self.groups = [ix.points for ix in indexes]
+        self.bounds = list(accumulate((len(p) for p in self.groups), initial=0))
+        self.line = self.order = None
+        if self.groups[0].shape[1] == 1:
+            if len(indexes) == 1:
+                self.line, self.order = indexes[0].tree, indexes[0].order
+            else:
+                pooled = np.concatenate(self.groups)[:, 0]
+                self.order = np.argsort(pooled)
+                if len(pooled) <= np.iinfo(np.int32).max:
+                    self.order = self.order.astype(np.int32)
+                self.line = pooled[self.order]
+
+    def query(self, skip: int | None = None):
+        """(queries, split) for every group but ``skip``: the query rows,
+        sorted on d = 1 and else the groups' points stacked in group
+        order, and a function that splits values, one per query row, into
+        one array per group, each in its group's point order."""
+        groups = [g for g in range(len(self.groups)) if g != skip]
+        if self.line is None:
+            cuts = np.cumsum([len(self.groups[g]) for g in groups[:-1]])
+            rest = [self.groups[g] for g in groups]
+            return (rest[0] if len(rest) == 1 else np.concatenate(rest),
+                    lambda values: np.split(values, cuts))
+        line, order = self.line, self.order
+        if skip is not None:
+            kept = (order < self.bounds[skip]) | (order >= self.bounds[skip + 1])
+            line, order = line[kept], order[kept]
+
+        def split(values):
+            stacked = np.empty(self.bounds[-1])
+            stacked[order] = values
+            return [stacked[self.bounds[g]:self.bounds[g + 1]] for g in groups]
+
+        return line[:, None], split
+
+
 def build_index(points) -> NeighborIndex:
     """Index the rows of an N x d matrix for exact neighbor queries."""
     return NeighborIndex(points)
@@ -385,9 +457,9 @@ def kth_nn_within(index: NeighborIndex, k: int, *, workers: int = 1) -> np.ndarr
     duplicate rows; callers that need strictly positive distances must
     screen for that.
     """
-    rho = _kth_within(
-        index.size, k, lambda ranks: index._rank_distances(index.queries, ranks, workers))
-    return index.in_point_order(rho)
+    queries, split = QueryBatch([index]).query()
+    rho = _kth_within(index.size, k, lambda ranks: index._rank_distances(queries, ranks, workers))
+    return split(rho)[0]
 
 
 def kth_nn_cross(query_points, index: NeighborIndex, k: int, *, workers: int = 1) -> np.ndarray:
@@ -399,7 +471,7 @@ def kth_nn_cross(query_points, index: NeighborIndex, k: int, *, workers: int = 1
     distance means the indexed sample holds duplicates at the query
     location and raises DegenerateDistanceError. Each query's distance
     is the same whatever the other queries and their order; on a 1-D
-    index, queries in sorted runs are answered fastest.
+    index, sorted queries skip a sort.
     """
     queries = _as_points(query_points, "query_points")
     if queries.shape[1] != index.dim:

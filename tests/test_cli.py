@@ -366,6 +366,21 @@ def test_metadata_that_lacks_ids_exits_1_naming_them(tmp_path, capsys):
         == "error: flags file lacks ids: a"
 
 
+def test_repeated_ids_exit_1_naming_the_id(tmp_path, capsys):
+    # a truth file with a conflicting duplicate would change the printed
+    # accuracy, and a matrix whose header repeats an id would write two
+    # rows under one name
+    assert _one_error_line(capsys, _cluster_truth(tmp_path, b"id,label\na,x\nb,x\na,y\n")) \
+        == "error: truth.csv: id 'a' repeats in rows 2 and 4"
+
+    (tmp_path / "dup.csv").write_text("id,a,a,b\na,0,1,2\na,1,0,2\nb,2,2,0\n")
+    out = tmp_path / "e.csv"
+    assert _one_error_line(capsys, run("embed", "--matrix", str(tmp_path / "dup.csv"),
+                                       "--dims", "1", "--out", str(out))) \
+        == "error: dup.csv: id 'a' repeats in header columns 2 and 3"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # SVG coordinate mapping.
 

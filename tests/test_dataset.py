@@ -426,6 +426,24 @@ def test_labels_table_rejects_wrong_width(tmp_path):
         dsm.load_labels(f)
 
 
+@pytest.mark.parametrize("name, load, text, message", [
+    ("labels.csv", dsm.load_labels, "id,label\na,x\nb,z\n\na,y\n",
+     "labels.csv: id 'a' repeats in rows 2 and 5"),
+    # the same value twice is still a repeat
+    ("flags.csv", dsm.load_labels, "id,flag\nb,1\nb,1\n",
+     "flags.csv: id 'b' repeats in rows 2 and 3"),
+    ("params.csv", dsm.load_params, "id,mu\na,1\nb,2\na,3\n",
+     "params.csv: id 'a' repeats in rows 2 and 4"),
+])
+def test_metadata_tables_reject_a_repeated_id(tmp_path, name, load, text, message):
+    # the last row of a repeated id used to win without a word
+    f = tmp_path / name
+    f.write_text(text)
+    with pytest.raises(DataFormatError) as info:
+        load(f)
+    assert str(info.value) == message
+
+
 def test_params_round_trip(tmp_path):
     f = tmp_path / "params.csv"
     dsm.save_params(f, ["a", "b"], ["mean", "std"], [(0.0, 0.3), (1.0, 0.7)])
@@ -469,3 +487,13 @@ def test_matrix_header_mismatch_rejected(tmp_path):
     f.write_text("id,a,b\na,0,1\nc,1,0\n")
     with pytest.raises(DataFormatError):
         dsm.load_matrix(f)
+
+
+def test_matrix_header_rejects_a_repeated_id(tmp_path):
+    # rows a, a, b match the header id by id, so only the header check
+    # stops the matrix from loading with two groups named a
+    f = tmp_path / "w.csv"
+    f.write_text("id,a,a,b\na,0,1,2\na,1,0,2\nb,2,2,0\n")
+    with pytest.raises(DataFormatError) as info:
+        dsm.load_matrix(f)
+    assert str(info.value) == "w.csv: id 'a' repeats in header columns 2 and 3"

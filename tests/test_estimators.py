@@ -709,6 +709,47 @@ def test_threaded_matrices_equal_the_pair_api(d, cfg, workers):
                             ds, train, fit_pair, cfg)
 
 
+@pytest.mark.parametrize("workers", [1, -1])
+@pytest.mark.parametrize("cfg", [est.EstimatorConfig("renyi", 0.5, 5),
+                                 est.EstimatorConfig("l2", k=4, symmetrize=False)])
+def test_line_batches_equal_the_pair_api(monkeypatch, cfg, workers):
+    # A d = 1 build sorts each direction's row groups' points once and
+    # each column queries them less its own group, then puts nu_k back in
+    # each group's point order. Groups of unequal sizes hold 15 points of
+    # one shared set each, so that queries coincide with a column's
+    # points and take rank k + 1, and every cell must still be the pair
+    # API's value bit for bit, in the square matrix and in cross
+    # matrices with and without a shared group.
+    rng = _rng(140)
+    shared = np.unique(np.round(rng.normal(size=80), 2))
+    groups = tuple(
+        Group(f"g{i}", rng.permutation(np.concatenate([
+            rng.choice(shared, 15, replace=False),
+            rng.normal(0.3 * i, 1.0 + 0.2 * i, size=20 + 9 * i)]))[:, None])
+        for i in range(5))
+    train = Dataset(groups)
+    other = Dataset((Group("g1", groups[1].points.copy()),
+                     Group("h", rng.permutation(np.concatenate([
+                         shared[:30], rng.normal(size=12)]))[:, None])))
+    coincident = []
+    real = knn._line_rank_distances
+
+    def recorded(q, line, ranks):
+        # a within-sample query reads rank k + 1 too, on the line itself
+        if ranks == (cfg.k + 1,) and not np.shares_memory(q, line):
+            coincident.append(len(q))
+        return real(q, line, ranks)
+
+    monkeypatch.setattr(knn, "_line_rank_distances", recorded)
+    pair = _pair_estimate(cfg)
+    _assert_pair_values(est.divergence_matrix(train, cfg, workers=workers).values,
+                        train, train, pair, cfg)
+    assert coincident
+    for ds_from, ds_to in ((other, train), (train, other), (Dataset(groups[:2]), other)):
+        _assert_pair_values(est.cross_divergence_matrix(ds_from, ds_to, cfg, workers=workers),
+                            ds_from, ds_to, pair, cfg)
+
+
 def test_pool_has_at_most_one_thread_per_group(monkeypatch):
     sizes = []
 

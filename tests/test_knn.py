@@ -231,14 +231,29 @@ def _count_rows(monkeypatch, name):
 
 
 def _line_queries(rng, values, arrangement):
-    """values as an n x 1 query array: in random order, sorted, or in
-    sorted runs of random length, as a matrix build stacks sorted groups."""
+    """values as an n x 1 query array: in random order, sorted, in sorted
+    runs of random length, or pooled as a matrix build pools its row
+    groups: a knn.QueryBatch of several groups, less one of them at
+    random, whose split must give back each other group's points."""
     values = rng.permutation(values)
     if arrangement == "sorted":
         values = np.sort(values)
     elif arrangement == "runs":
         cuts = np.sort(rng.integers(0, len(values) + 1, size=rng.integers(1, 5)))
         values = np.concatenate([np.sort(run) for run in np.split(values, cuts)])
+    elif arrangement == "pooled":
+        cuts = np.sort(rng.integers(1, len(values), size=rng.integers(0, 4))) \
+            if len(values) > 1 else []
+        groups = np.split(values, np.unique(cuts))
+        skip = int(rng.integers(0, len(groups))) if len(groups) > 1 else None
+        batch = knn.QueryBatch([knn.build_index(g[:, None]) for g in groups])
+        queries, split = batch.query(skip)
+        values = queries[:, 0]
+        assert (np.diff(values) >= 0).all()
+        back = split(values.copy())
+        rest = [g for i, g in enumerate(groups) if i != skip]
+        assert len(back) == len(rest)
+        assert all(np.array_equal(b, g) for b, g in zip(back, rest))
     return values[:, None]
 
 
@@ -266,7 +281,7 @@ def test_line_route_matches_brute(monkeypatch):
                             st.floats(152.0, 155.0), st.floats(-318.0, -306.0)),
         offset=st.sampled_from([0.0, 0.0, 1.0, 1e3, 1e8, 1e12, 1e15]),
         on=st.sampled_from(["nothing", "points", "midpoints"]),
-        arrangement=st.sampled_from(["random", "sorted", "runs"]),
+        arrangement=st.sampled_from(["random", "sorted", "runs", "pooled"]),
     )
     # a draw known to send rows to the fallback, whatever else is drawn
     @example(seed=1, kq=2, extra=6, n=40, which="cross", decimals=1, scale_exp=0.0,
@@ -316,6 +331,80 @@ def test_line_route_matches_brute(monkeypatch):
 
     check()
     assert seen["certified"] > 0 and seen["fallback"] > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 60),
+    n=st.integers(1, 80),
+    r=st.integers(1, 8),
+    decimals=st.sampled_from([None, 0, 1, 2]),
+    scale_exp=st.one_of(st.floats(-6.0, 6.0), st.floats(-163.0, -157.0),
+                        st.floats(152.0, 155.0)),
+    on=st.sampled_from(["nothing", "points", "midpoints"]),
+    step=st.integers(1, 90),
+)
+def test_merged_run_starts_equal_one_search_per_query(seed, m, n, r, decimals, scale_exp,
+                                                      on, step):
+    # The d = 1 route counts, for each of the sorted queries, the
+    # midpoints below it by merging: one search per midpoint for pos_t,
+    # the queries at or below it, then the midpoint numbers repeated over
+    # the gaps between the pos_t of each block of rows. That must be
+    # np.searchsorted(mid, q) exactly: with duplicate points and queries,
+    # queries on a point or on the decimal midpoint of two, midpoints that
+    # round, the scales where the route's squares underflow or overflow,
+    # and blocks of any size.
+    rng = _rng(seed)
+    r = min(r, m)
+
+    def rounded(x):
+        return x if decimals is None else np.round(x, decimals)
+
+    scale = 10.0 ** scale_exp
+    line = np.sort(rounded(rng.normal(size=m) * 3.0)) * scale
+    q = rounded(rng.normal(size=n) * 3.0) * scale
+    pick = rng.integers(0, m, size=(2, len(q[::2])))
+    if on == "points":
+        q[::2] = line[pick[0]]
+    elif on == "midpoints":
+        q[::2] = rounded((line[pick[0]] + line[pick[1]]) / (2.0 * scale)) * scale
+    q.sort()
+    half = line * 0.5
+    mid = half[:m - r] + half[r:]
+    pos = np.searchsorted(q, mid, "right")
+    got = np.concatenate([knn._run_starts(pos, start, min(start + step, n))
+                          for start in range(0, n, step)])
+    assert got.dtype.kind == "i"
+    assert np.array_equal(got, np.searchsorted(mid, q))
+
+
+@pytest.mark.parametrize("decimals, ranks, fallback", [
+    (1, (1, 5), 187), (1, (6,), 191), (2, (1, 5), 50), (2, (6,), 37)])
+def test_line_route_sends_as_many_rows_to_the_window_as_a_search_per_query(
+        monkeypatch, decimals, ranks, fallback):
+    # The merge finds the same run starts as one search per query did, so
+    # the certificate fails on the same rows. The counts are those of the
+    # search per query, on rounded data whose ties send rows to the
+    # window; stacked sorted runs and the pooled sort of the same points
+    # send the same rows.
+    rng = _rng(13)
+    groups = [np.round(rng.normal(0.3 * g, 1.0 + 0.1 * g, size=400) * 3.0, decimals)
+              for g in range(6)]
+    line = knn.build_index(groups[0][:, None]).tree
+    rest = [knn.build_index(g[:, None]) for g in groups[1:]]
+    runs = np.concatenate([ix.tree for ix in rest])
+    pooled = knn.QueryBatch(rest).query()[0][:, 0]
+    want = knn._brute_rank_distances(runs[:, None], line[:, None], ranks)
+    for queries in (runs, pooled):
+        fell = _count_rows(monkeypatch, "_window_rank_distances")
+        try:
+            got = knn._line_rank_distances(queries, line, ranks)
+        finally:
+            monkeypatch.undo()
+        assert fell[0] == fallback
+        order = np.argsort(queries, kind="stable")
+        assert np.array_equal(got[order], want[np.argsort(runs, kind="stable")])
 
 
 def test_line_route_falls_back_where_a_midpoint_rounds_across_q(monkeypatch):
@@ -471,6 +560,31 @@ def test_brute_memory_stays_within_budget(monkeypatch):
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         assert fell[0] == fallback
         assert peak <= 4 * budget
+
+
+def test_line_column_query_holds_its_output_and_two_blocks():
+    # A matrix column on the line queries with a batch's sorted points.
+    # Its run starts are made one block of rows at a time, so beyond the
+    # two-column rank table, the result and two n-byte masks it holds at
+    # most two blocks' worth: the line's midpoints and their pos_t
+    # (2000 points) and one block's temporaries. Run starts made for the
+    # whole column at once would add 8 bytes a query, 1.6 MB here.
+    rng = _rng(8)
+    idx = knn.build_index(rng.normal(size=(2000, 1)))
+    queries = np.sort(rng.normal(size=200_000))[:, None]
+    n, budget = len(queries), 2 * knn._BLOCK_BYTES
+    tracemalloc.start()
+    try:
+        nu = knn.kth_nn_cross(queries, idx, 20)
+        _, column_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        table = knn._line_rank_distances(queries[:, 0], idx.tree, (1, 20))
+        _, route_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(nu, table[:, 1])
+    assert route_peak <= nu.nbytes + table.nbytes + n + budget
+    assert column_peak <= table.nbytes + nu.nbytes + 2 * n + budget
 
 
 def test_threaded_matrix_memory_stays_within_twice_the_budget(monkeypatch):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import ConfigError, ContractError, DivknnError, InsufficientSampleError
+from .errors import ConfigError, ContractError, InsufficientSampleError
 from .estimators import RENYI, DivergenceMatrix, _divergence_table
 
 # Smallest covariance eigenvalue tolerated, relative to mean variance.
@@ -137,18 +137,9 @@ def gaussian_l2(p: GaussianFit, q: GaussianFit) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Drop-in pairwise matrices, built like the sample-based ones.
-
-def _directed_fit(cfg):
-    """The table column of closed-form directed divergences that cfg asks for."""
-    def directed(p, q):
-        try:
-            return gaussian_renyi(p, q, cfg.alpha) if cfg.kind == RENYI else gaussian_l2(p, q)
-        except DivknnError as exc:
-            return exc
-    return lambda fits, skip, col, workers: [directed(row, col)
-                                             for i, row in enumerate(fits) if i != skip]
-
+# Drop-in pairwise matrices, built like the sample-based ones: a group's
+# item is its fit and a pair's value its closed form. Pairing and the
+# naming of a failing group or pair are ``_divergence_table``'s.
 
 def baseline_matrix(ds, cfg):
     """Pairwise closed-form divergences between per-group Gaussian fits.
@@ -168,10 +159,8 @@ def baseline_cross_matrix(ds_from, ds_to, cfg) -> np.ndarray:
     ds_to with the id and bitwise-equal points of a group of ds_from is
     fitted once and its cell is exactly 0.
     """
-    def prepare(g, workers):
-        try:
-            return fit_gaussian(g.points)
-        except DivknnError as exc:
-            raise type(exc)(f"group '{g.id}': {exc}") from None
+    def value(p, q, _):
+        return gaussian_renyi(p, q, cfg.alpha) if cfg.kind == RENYI else gaussian_l2(p, q)
 
-    return _divergence_table(ds_from, ds_to, prepare, _directed_fit(cfg), cfg.symmetrize, 1)
+    return _divergence_table(ds_from, ds_to, lambda g, workers: fit_gaussian(g.points), value,
+                             cfg.symmetrize, 1)

@@ -7,15 +7,16 @@ distance to the k-th nearest point of Y. Powers of the implied inverse
 densities are averaged with gamma-ratio correction factors that make
 each term asymptotically unbiased; no density estimate is ever formed.
 
-Every matrix is a view of one directed table of estimates from row
-groups to column groups; symmetrizing averages it with its reverse. A
-group in both datasets is never paired with itself and its cell is 0.
-The sample-based table is filled one column at a time: the column
-group's index answers a single nu_k query over the points of all its
-row groups, taken from one ``knn.QueryBatch`` built per direction before
-any column, and the batch splits nu_k per pair in each group's point
-order. How the batch orders the queries (sorted on the line) is knn's
-concern alone.
+Every matrix, sample-based or Gaussian baseline, is a view of one
+directed table of estimates from row groups to column groups, paired by
+``_divergence_table`` alone, whose errors name their group or pair;
+symmetrizing averages it with its reverse. A group in both datasets is
+never paired with itself and its cell is 0. The sample-based table is
+filled one column at a time: the column group's index answers a single
+nu_k query over the points of all its row groups, taken from one
+``knn.QueryBatch`` built per direction before any column, and the batch
+splits nu_k per pair in each group's point order. How the batch orders
+the queries (sorted on the line) is knn's concern alone.
 
 All estimation functions are pure given immutable inputs. The optional
 ``workers`` argument never changes any value. The pair functions pass
@@ -33,7 +34,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
 from itertools import repeat
 from typing import TYPE_CHECKING
 
@@ -193,16 +193,16 @@ def _pair_statistics(x, y, k: int, workers: int):
 # ---------------------------------------------------------------------------
 # Renyi-alpha family.
 
-def _alpha_terms(rho, nu, n, m, d, alpha):
-    # ((n-1) rho^d / (m nu^d))^(1-alpha), evaluated in log space so that
-    # rho^d / nu^d never overflows on its own.
+def _alpha_terms(log_rho, nu, n, m, d, alpha):
+    # ((n-1) rho^d / (m nu^d))^(1-alpha) from log rho_k, evaluated in log
+    # space so that rho^d / nu^d never overflows on its own.
     oma = 1.0 - alpha
-    log_ratio = d * (np.log(rho) - np.log(nu)) + math.log(n - 1) - math.log(m)
+    log_ratio = d * (log_rho - np.log(nu)) + math.log(n - 1) - math.log(m)
     return np.exp(oma * log_ratio)
 
 
-def _integral_estimate(rho, nu, n, m, d, alpha, b) -> float:
-    est = float(_alpha_terms(rho, nu, n, m, d, alpha).mean() * b)
+def _integral_estimate(log_rho, nu, n, m, d, alpha, b) -> float:
+    est = float(_alpha_terms(log_rho, nu, n, m, d, alpha).mean() * b)
     # A zero, infinite or NaN integral has no finite log.
     if not 0.0 < est < math.inf:
         raise NonFiniteEstimateError(
@@ -224,7 +224,7 @@ def alpha_integral(x, y, k: int, alpha: float, *, workers: int = 1) -> float:
         raise ConfigError("alpha must differ from 1")
     b = correction_factor(k, alpha)  # validates k > |alpha - 1|
     rho, nu, n, m, d = _pair_statistics(x, y, k, workers)
-    return _integral_estimate(rho, nu, n, m, d, alpha, b)
+    return _integral_estimate(np.log(rho), nu, n, m, d, alpha, b)
 
 
 def renyi_divergence(x, y, k: int, alpha: float, *, workers: int = 1) -> float:
@@ -324,21 +324,37 @@ def _thread_count(workers) -> int:
     return (os.cpu_count() or 1) if workers == -1 else int(workers)
 
 
-def _divergence_table(ds_from: "Dataset", ds_to: "Dataset", prepare, column,
-                      symmetric: bool, workers: int, gather=list) -> np.ndarray:
+def _capture(fn, *args, **kwargs):
+    """fn(*args, **kwargs), or the DivknnError it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except DivknnError as exc:
+        return exc
+
+
+def _divergence_table(ds_from: "Dataset", ds_to: "Dataset", prepare, value,
+                      symmetric: bool, workers: int, gather=list,
+                      column=lambda gathered, skip, col, workers: repeat(None)) -> np.ndarray:
     """Directed divergences from ds_from's groups to ds_to's, symmetrized on request.
 
-    ``prepare(group, workers)`` gives a group's item (index and rho_k, or
-    a fit). Each direction's row items are gathered once by
-    ``gather(rows)``, before any column, and ``column(gathered, skip, col,
-    workers)`` gives the directed value or DivknnError from each row item
-    but the one numbered skip (None for none) to col, in row order.
-    ds_from's groups are prepared first. A group of ds_to with the id and
-    bitwise-equal points of a group of ds_from is that group: prepared
-    once, never paired with itself, its cell 0. The reverse table is the transpose
+    The only code that pairs groups. A route supplies ``prepare(group,
+    workers)``, a group's item (index and rho_k, or a fit), and
+    ``value(row, col, statistic)``, the directed value from a row item to
+    a column item. Each direction's row items are gathered once by
+    ``gather(rows)``, before any column, and ``column(gathered, skip,
+    col, workers)`` gives the statistic of each row item but the one
+    numbered skip (None for none) to col, in row order, or a DivknnError
+    in its place; by default every statistic is None. ds_from's groups
+    are prepared first. A group of ds_to with the id and bitwise-equal
+    points of a group of ds_from is that group: prepared once, never
+    paired with itself, its cell 0. The reverse table is the transpose
     when each column is the row at its position, and is built otherwise.
-    Of several failing pairs the first in row-major order raises, the
-    forward table's first.
+
+    A route's DivknnError keeps its type and gains the names of its
+    groups: a preparation's raises as ``group '<id>': ...``. A pair's
+    failing statistic or value is kept, and of several the first in
+    row-major order raises, the forward table's first, as ``from group
+    '<a>' to '<b>': ...``.
 
     Preparations and columns are mapped over one pool of at most
     ``workers`` threads and no more than the larger dataset has
@@ -362,7 +378,13 @@ def _divergence_table(ds_from: "Dataset", ds_to: "Dataset", prepare, column,
             context = contextvars.copy_context()
             return list(pool.map(lambda *a: context.copy().run(fn, *a), *args, repeat(1)))
 
-        from_items = run(prepare, ds_from.groups)
+        def prepared(g, w):
+            try:
+                return prepare(g, w)
+            except DivknnError as exc:
+                raise type(exc)(f"group '{g.id}': {exc}") from None
+
+        from_items = run(prepared, ds_from.groups)
         shared = {g.id: (g.points.view(np.uint64), it)
                   for g, it in zip(ds_from.groups, from_items)}
 
@@ -370,117 +392,99 @@ def _divergence_table(ds_from: "Dataset", ds_to: "Dataset", prepare, column,
             bits, item = shared.get(g.id, (None, None))
             if bits is not None and np.array_equal(bits, g.points.view(np.uint64)):
                 return item
-            return prepare(g, w)
+            return prepared(g, w)
 
         to_items = run(to_item, ds_to.groups)
 
-        def directed(rows, cols):
+        def directed(rows, cols, row_ids, col_ids):
             # the row that is each column's own group, paired with nothing;
             # a column with no other row makes no query
             own = [next((i for i, row in enumerate(rows) if row is col), None) for col in cols]
             used = [j for j, skip in enumerate(own) if len(rows) > (skip is not None)]
             gathered = gather(rows)
-            values = run(partial(column, gathered), [own[j] for j in used],
-                         [cols[j] for j in used])
+
+            def fill(skip, col, w):
+                """The value or error of each row but skip to col."""
+                paired = (row for i, row in enumerate(rows) if i != skip)
+                return [s if isinstance(s, DivknnError) else _capture(value, row, col, s)
+                        for row, s in zip(paired, column(gathered, skip, col, w))]
+
+            values = run(fill, [own[j] for j in used], [cols[j] for j in used])
             table = np.zeros((len(rows), len(cols)))
             failures = {}
             for j, column_values in zip(used, values):
                 paired = [i for i in range(len(rows)) if i != own[j]]
-                for i, value in zip(paired, column_values):
-                    if isinstance(value, DivknnError):
-                        failures[i, j] = value
+                for i, v in zip(paired, column_values):
+                    if isinstance(v, DivknnError):
+                        failures[i, j] = v
                     else:
-                        table[i, j] = value
+                        table[i, j] = v
             if failures:
-                raise failures[min(failures)]
+                i, j = min(failures)
+                exc = failures[i, j]
+                raise type(exc)(f"from group '{row_ids[i]}' to '{col_ids[j]}': {exc}") from None
             return table
 
-        table = directed(from_items, to_items)
+        table = directed(from_items, to_items, ds_from.ids, ds_to.ids)
         if not symmetric:
             return table
         square = len(from_items) == len(to_items) and all(
             f is t for f, t in zip(from_items, to_items))
-        return symmetrize(table, (table if square else directed(to_items, from_items)).T)
+        back = table if square else directed(to_items, from_items, ds_to.ids, ds_from.ids)
+        return symmetrize(table, back.T)
 
 
 def _sample_table(ds_from: "Dataset", ds_to: "Dataset", cfg: EstimatorConfig,
                   workers: int) -> np.ndarray:
     """The table of sample-based divergences from ds_from's groups to ds_to's.
 
-    Each direction gathers its row groups' indexes into one
-    ``knn.QueryBatch`` before any column; on d = 1 that sorts all their
-    points once. Each column group answers one nu_k query over the
-    batch less its own group, and each pair reduces its own slice of
-    nu_k, back in its group's point order, as cfg asks. The batch holds
-    at most one sorted copy of the dataset's points (on d = 1) per
-    direction, and each column's queries and nu_k are a copy of at most
-    the whole dataset's points, one column per thread at a time.
+    A group's item is its index, rho_k and log rho_k. Each direction
+    gathers its row groups' indexes into one ``knn.QueryBatch``; on d = 1
+    that sorts all their points once. Each column group answers one nu_k
+    query over the batch less its own group, and each pair reduces its
+    own slice of nu_k, back in its group's point order, as cfg asks. The
+    batch holds at most one sorted copy of the dataset's points (on
+    d = 1) per direction, and each column's queries and nu_k are a copy
+    of at most the whole dataset's points, one column per thread at a
+    time.
     """
     k = cfg.k
     b = correction_factor(k, cfg.alpha) if cfg.kind == RENYI else math.nan
 
     def prepare(g, workers):
-        if g.points.shape[0] < k + 1:
-            raise InsufficientSampleError(
-                f"group '{g.id}' has {g.points.shape[0]} points; k={k} needs "
-                f"at least {k + 1}"
-            )
         index = knn.build_index(g.points)
         rho = knn.kth_nn_within(index, k, workers=workers)
-        try:
-            _screen_rho(rho)
-        except DegenerateDistanceError as exc:
-            raise DegenerateDistanceError(f"group '{g.id}': {exc}") from None
-        return g, index, rho
+        _screen_rho(rho)
+        return index, rho, np.log(rho)
 
-    def cross_nu(rows, batch, skip, index, workers):
-        """nu_k of each row group but skip against index, in the group's
-        point order, or the error its own query raises.
+    def gather(rows):
+        return knn.QueryBatch([index for index, _, _ in rows])
 
-        The groups query together, from their ``batch``, sorted on the
-        line. After a DegenerateDistanceError every group queries again
-        on its own, with its points in their order, so the error names the
-        point as it is numbered in its group.
+    def column(batch, skip, col, workers):
+        """nu_k of each row group but skip against col's index, in the
+        group's point order.
+
+        The groups query together, from the direction's batch (sorted on
+        the line). After a DegenerateDistanceError every group queries
+        again on its own, with its points in their order, so that the
+        error names the point as it is numbered in its group.
         """
         queries, split = batch.query(skip)
         try:
-            nu = knn.kth_nn_cross(queries, index, k, workers=workers)
+            return split(knn.kth_nn_cross(queries, col[0], k, workers=workers))
         except DegenerateDistanceError:
-            return [own_nu(g, index, workers)
-                    for i, (g, _, _) in enumerate(rows) if i != skip]
-        return split(nu)
+            return [_capture(knn.kth_nn_cross, points, col[0], k, workers=workers)
+                    for g, points in enumerate(batch.groups) if g != skip]
 
-    def own_nu(g, index, workers):
-        try:
-            return knn.kth_nn_cross(g.points, index, k, workers=workers)
-        except DegenerateDistanceError as exc:
-            return exc
-
-    def estimate(row, col, nu):
-        """The pair's directed divergence, or its error naming the pair."""
-        (g_from, _, rho), (g_to, index_to, _) = row, col
-        if isinstance(nu, DegenerateDistanceError):
-            return DegenerateDistanceError(
-                f"between groups '{g_from.id}' and '{g_to.id}': {nu}")
+    def value(row, col, nu):
+        (_, rho, log_rho), (index_to, _, _) = row, col
         n, m, d = rho.shape[0], index_to.size, index_to.dim
-        try:
-            if cfg.kind == RENYI:
-                return math.log(_integral_estimate(rho, nu, n, m, d, cfg.alpha, b)) / (cfg.alpha - 1.0)
-            return math.sqrt(max(0.0, _l2_squared_estimate(rho, nu, n, m, d, k)))
-        except NonFiniteEstimateError as exc:
-            return NonFiniteEstimateError(f"from group '{g_from.id}' to '{g_to.id}': {exc}")
+        if cfg.kind == RENYI:
+            return math.log(_integral_estimate(log_rho, nu, n, m, d, cfg.alpha, b)) / (cfg.alpha - 1.0)
+        return math.sqrt(max(0.0, _l2_squared_estimate(rho, nu, n, m, d, k)))
 
-    def gather(rows):
-        return rows, knn.QueryBatch([index for _, index, _ in rows])
-
-    def column(gathered, skip, col, workers):
-        rows, batch = gathered
-        paired = [row for i, row in enumerate(rows) if i != skip]
-        return [estimate(row, col, nu)
-                for row, nu in zip(paired, cross_nu(rows, batch, skip, col[1], workers))]
-
-    return _divergence_table(ds_from, ds_to, prepare, column, cfg.symmetrize, workers,
-                             gather)
+    return _divergence_table(ds_from, ds_to, prepare, value, cfg.symmetrize, workers,
+                             gather, column)
 
 
 def divergence_matrix(ds: "Dataset", cfg: EstimatorConfig, *, workers: int = 1) -> DivergenceMatrix:

@@ -52,9 +52,13 @@ the page faults of every new temporary cost more than the arithmetic.
 Blocks of a few hundred KiB are mostly reused from the heap: a
 divergence matrix of 25 one-dimensional groups of 2000 points took
 about 180,000 minor page faults with unblocked temporaries, 200,000
-with 4 MiB blocks and 500 with 256 KiB blocks. The budget holds per
-query: threads that query at the same time, as a threaded divergence
-matrix does, hold up to threads x ``_BLOCK_BYTES`` of temporaries.
+with 4 MiB blocks and 500 with 256 KiB blocks. The 500 hold only while
+glibc keeps the top of its heap; a process that trims it after a column
+and grows it again in the next takes about 9,000 (a divbench ``ggrid``
+rep: 8,575-9,081 against 491-541, glibc 2.36), and which a process
+does varies from process to process at the same code. The budget
+holds per query: threads that query at the same time, as a threaded
+divergence matrix does, hold up to threads x ``_BLOCK_BYTES`` of temporaries.
 
 Squared distances are used internally; square roots are taken once at
 the boundary. All results are exact. The sorted-line route, the d > 15

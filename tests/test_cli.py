@@ -88,6 +88,21 @@ def test_gaussian_baseline_fit_error_names_the_group(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+def test_gaussian_baseline_pair_error_names_both_groups(tmp_path, capsys):
+    # at alpha = 1.5 the mixed covariance of b's and a's fits is not
+    # positive definite, so the closed form from b to a has no value
+    from divknn.dataset import Dataset, Group
+    rng = np.random.default_rng(0)
+    data = tmp_path / "crossed"
+    dsm.save_dataset(Dataset(tuple(
+        Group(g, rng.normal(size=(50, 2)) * scale)
+        for g, scale in (("a", (1.0, 1.0)), ("b", (1.0, 30.0)), ("c", (30.0, 1.0))))), data)
+    assert run("estimate", "--input", str(data), "--out", str(tmp_path / "w.csv"),
+               "--baseline", "gaussian", "--alpha", "1.5") == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == ["error: from group 'b' to 'a': mixed covariance is not positive definite"]
+
+
 def _class_dataset(tmp_path, seed=0):
     from divknn import synth
     ds, _ = synth.gen_gaussian_classes(seed=seed, n_classes=2,

@@ -541,6 +541,25 @@ def _three_clusters_d80():
     return Group("a", a), Group("b", b), Group("c", c)
 
 
+def _crossed_gaussians():
+    """Groups a ~ N(0, I), b ~ N(0, diag(1, 900)) and c ~ N(0, diag(900, 1))
+    of 50 points in d = 2. At alpha = 1.5 the mixed covariance
+    -0.5 Cov_p + 1.5 Cov_q of their fits is not positive definite from b
+    to a and c and from c to a and b, so the closed form fails there."""
+    rng = _rng(83)
+    groups = tuple(Group(g, rng.normal(size=(50, 2)) * scale)
+                   for g, scale in (("a", (1.0, 1.0)), ("b", (1.0, 30.0)), ("c", (30.0, 1.0))))
+    fits = {g.id: baselines.fit_gaussian(g.points) for g in groups}
+    for p in fits:
+        for q in fits:
+            if p != q and p != "a":
+                with pytest.raises(ConfigError, match="mixed covariance is not positive"):
+                    baselines.gaussian_renyi(fits[p], fits[q], 1.5)
+            elif p != q:
+                assert math.isfinite(baselines.gaussian_renyi(fits[p], fits[q], 1.5))
+    return groups
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_square_matrix_raises_the_first_failing_pair_in_row_major_order(workers):
     # a -> c (row 0, column 2) and b -> a (row 1, column 0) both underflow;
@@ -550,6 +569,12 @@ def test_square_matrix_raises_the_first_failing_pair_in_row_major_order(workers)
     with pytest.raises(NonFiniteEstimateError, match="from group 'a' to 'c'"):
         est.divergence_matrix(ds, est.EstimatorConfig("renyi", 0.5, 5, symmetrize=False),
                               workers=workers)
+    # the baseline route pairs and names its groups the same way: b -> a
+    # (row 1, column 0) is the first of its four failing pairs
+    with pytest.raises(ConfigError) as info:
+        _with_workers(baselines.baseline_matrix, workers)(
+            Dataset(_crossed_gaussians()), est.EstimatorConfig("renyi", 1.5, 5))
+    assert str(info.value) == "from group 'b' to 'a': mixed covariance is not positive definite"
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -566,12 +591,23 @@ def test_overlapping_cross_matrix_raises_the_first_failing_reverse_pair(workers)
     with pytest.raises(NonFiniteEstimateError, match="from group 'a' to 'c'"):
         est.cross_divergence_matrix(ds_from, ds_to, est.EstimatorConfig("renyi", 0.5, 5),
                                     workers=workers)
+    # on the baseline route, rows a and columns a, b, c share a: the
+    # forward pairs a -> b and a -> c are finite, and the reverse table's
+    # column a fails at b -> a (row 1) and c -> a (row 2)
+    a, b, c = _crossed_gaussians()
+    build = _with_workers(baselines.baseline_cross_matrix, workers)
+    forward = build(Dataset((a,)), Dataset((a, b, c)), est.EstimatorConfig("renyi", 1.5, 5,
+                                                                          symmetrize=False))
+    assert np.isfinite(forward).all() and forward[0, 0] == 0.0
+    with pytest.raises(ConfigError) as info:
+        build(Dataset((a,)), Dataset((a, b, c)), est.EstimatorConfig("renyi", 1.5, 5))
+    assert str(info.value) == "from group 'b' to 'a': mixed covariance is not positive definite"
 
 
 def _with_workers(build, workers):
-    """build at the given workers. The baseline builder always runs on
-    one thread, so it is made to pass workers to the table builder."""
-    if build is not baselines.baseline_cross_matrix:
+    """build at the given workers. The baseline builders always run on
+    one thread, so they are made to pass workers to the table builder."""
+    if build not in (baselines.baseline_matrix, baselines.baseline_cross_matrix):
         return lambda *args: build(*args, workers=workers)
 
     def run(*args):
@@ -585,7 +621,8 @@ def _with_workers(build, workers):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("build, to_points, error", [
     # both groups are too small: for k = 5, or for a Gaussian fit
-    (est.cross_divergence_matrix, np.arange(3.0)[:, None], "group 'z' has 1 points"),
+    (est.cross_divergence_matrix, np.arange(3.0)[:, None],
+     "group 'z': within-sample k-NN with k=5 needs at least 6 points, got 1"),
     (baselines.baseline_cross_matrix, [[1.0]], "group 'z': gaussian fit needs at least 2"),
 ])
 def test_row_group_preparation_errors_raise_first(build, to_points, error, workers):
@@ -615,7 +652,7 @@ def test_degenerate_nu_names_the_point_within_its_own_group():
     # the column of y stacks a's 40 points before b's
     ds = Dataset(_underflow_duplicates())
     with pytest.raises(DegenerateDistanceError,
-                       match="between groups 'b' and 'y': query point 3 has a zero"):
+                       match="from group 'b' to 'y': query point 3 has a zero"):
         est.divergence_matrix(ds, est.EstimatorConfig("renyi", 0.75, 1))
 
 
@@ -628,7 +665,7 @@ def test_degenerate_nu_on_the_line_names_the_point_in_its_group_order(rows, work
     a, b, y = _underflow_duplicates()
     groups = {"a": a, "b": b}
     ds_from = Dataset(tuple(groups[r] for r in rows))
-    message = ("between groups 'b' and 'y': query point 3 has a zero k-th neighbor "
+    message = ("from group 'b' to 'y': query point 3 has a zero k-th neighbor "
                "distance: the indexed sample contains duplicate points at that location")
     for symmetrize in (False, True):
         cfg = est.EstimatorConfig("renyi", 0.75, 1, symmetrize=symmetrize)

@@ -240,23 +240,26 @@ def renyi_divergence(x, y, k: int, alpha: float, *, workers: int = 1) -> float:
 # ---------------------------------------------------------------------------
 # L2 family.
 
-def _l2_terms(rho, nu, n, m, d, k):
+def _l2_mean(rho, nu, n, m, d, k) -> float | None:
+    """The mean of the L2 terms, or None if any step overflows, divides
+    by zero or makes a NaN, or if u, v or v^2 is subnormal: its value
+    would be wrong, not just rounded. A subnormal divisor has lost
+    digits, and so has the large term it divides."""
     # Bias-corrected plug-ins for the integrals of p^2, p q, and q^2,
     # assembled from the inverse-density statistics
     #   u = (n-1) c rho^d   (within sample),  v = m c nu^d  (cross sample),
     # each asymptotically Erlang with rate p(x) resp. q(x).
     c = knn.unit_ball_volume(d)
-    u = (n - 1) * c * rho ** d
-    v = m * c * nu ** d
-    return (k - 1) / u - 2.0 * (k - 1) / v + u * ((k - 2) * (k - 1) / k) / v ** 2
-
-
-def _l2_mean(rho, nu, n, m, d, k) -> float | None:
-    """The mean of the L2 terms, or None if any step overflows, divides
-    by zero or makes a NaN: its value would be wrong, not just rounded."""
     try:
         with np.errstate(all="raise", under="ignore"):
-            return float(_l2_terms(rho, nu, n, m, d, k).mean())
+            u = (n - 1) * c * rho ** d
+            v = m * c * nu ** d
+            v2 = v ** 2
+            # v^2 is below the normal range wherever v is
+            if min(u.min(), v2.min()) < np.finfo(np.float64).tiny:
+                return None
+            terms = (k - 1) / u - 2.0 * (k - 1) / v + u * ((k - 2) * (k - 1) / k) / v2
+            return float(terms.mean())
     except FloatingPointError:
         return None
 
@@ -265,9 +268,10 @@ def _l2_squared_estimate(rho, nu, n, m, d, k) -> float:
     est = _l2_mean(rho, nu, n, m, d, k)
     if est is not None:
         return est
-    # rho^d, nu^d or a square left float64 range, though the estimate may
-    # not. Scaling rho and nu by a common 2^e scales every term exactly by
-    # 2^(-e d); e puts the median nu at about 1, and ldexp undoes the scale.
+    # rho^d, nu^d or a square left float64's normal range, though the
+    # estimate may not. Scaling rho and nu by a common 2^e scales every
+    # term exactly by 2^(-e d); e puts the median nu at about 1, and ldexp
+    # undoes the scale.
     with np.errstate(divide="ignore"):
         center = float(np.median(np.log2(nu)))
     if math.isfinite(center):
@@ -444,9 +448,10 @@ def _sample_table(ds_from: "Dataset", ds_to: "Dataset", cfg: EstimatorConfig,
     query over the batch less its own group, and each pair reduces its
     own slice of nu_k, back in its group's point order, as cfg asks. The
     batch holds at most one sorted copy of the dataset's points (on
-    d = 1) per direction, and each column's queries and nu_k are a copy
-    of at most the whole dataset's points, one column per thread at a
-    time.
+    d = 1) per direction. A column's queries and nu_k are a copy of at
+    most the whole dataset's points, one column per thread at a time; on
+    d = 1 they are made in the thread's knn workspace, which the thread
+    keeps for its next column and build.
     """
     k = cfg.k
     b = correction_factor(k, cfg.alpha) if cfg.kind == RENYI else math.nan
@@ -465,13 +470,14 @@ def _sample_table(ds_from: "Dataset", ds_to: "Dataset", cfg: EstimatorConfig,
         group's point order.
 
         The groups query together, from the direction's batch (sorted on
-        the line). After a DegenerateDistanceError every group queries
-        again on its own, with its points in their order, so that the
-        error names the point as it is numbered in its group.
+        the line, into the thread's workspace, which ``fill`` reduces
+        before the thread's next column). After a DegenerateDistanceError
+        every group queries again on its own, with its points in their
+        order, so that the error names the point as it is numbered in its
+        group.
         """
-        queries, split = batch.query(skip)
         try:
-            return split(knn.kth_nn_cross(queries, col[0], k, workers=workers))
+            return batch.kth_nn_cross(skip, col[0], k, workers)
         except DegenerateDistanceError:
             return [_capture(knn.kth_nn_cross, points, col[0], k, workers=workers)
                     for g, points in enumerate(batch.groups) if g != skip]

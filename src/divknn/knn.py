@@ -12,16 +12,19 @@ Three routes answer them, chosen from the dimension d when the index is
 built:
 
 * d = 1, sorted line: on a line a query's squared distances to the
-  sorted sample fall and then rise, so its r nearest points are a run of
-  r consecutive sorted points, and the r-th smallest distance is the
-  larger of the run's two end values. The run starts after the midpoints
-  of points r apart that lie below the query. With the queries sorted,
-  one search per midpoint and rank over the sorted queries places every
-  query's run, and a check of the run's two outer neighbours proves it,
-  ties included; the few rows that fail it take a 2kq-wide sorted window
-  (kq the largest rank asked for). Queries that arrive unsorted are sorted
-  first and their rows put back. The within-sample query and a matrix
-  build (through a ``QueryBatch``) pass theirs sorted already;
+  sorted sample fall and then rise, rounding included. So its nearest
+  point is the nearer of the two around it, the last point below it and
+  the first at or above it, which needs no check. Its r nearest points
+  are a run of r consecutive sorted points, and the r-th smallest
+  distance is the larger of the run's two end values. The run starts
+  after the midpoints of points r apart that lie below the query. With
+  the queries sorted, one search per point or midpoint and rank over the
+  sorted queries places every query's bracket or run, and a check of a
+  run's two outer neighbours proves it, ties included; the few rows that
+  fail it take a 2kq-wide sorted window (kq the largest rank asked for).
+  Queries that arrive unsorted are sorted first and their rows put back.
+  The within-sample query and a matrix build (through a ``QueryBatch``)
+  pass theirs sorted already;
 * 2 <= d <= 15, kd-tree: a balanced ``scipy.spatial.cKDTree``;
 * d > 15, brute force, screened: with the points centered on their
   mean c, ||p - c||^2 - 2 (q - c).(p - c), one small matrix product per
@@ -52,13 +55,16 @@ the page faults of every new temporary cost more than the arithmetic.
 Blocks of a few hundred KiB are mostly reused from the heap: a
 divergence matrix of 25 one-dimensional groups of 2000 points took
 about 180,000 minor page faults with unblocked temporaries, 200,000
-with 4 MiB blocks and 500 with 256 KiB blocks. The 500 hold only while
-glibc keeps the top of its heap; a process that trims it after a column
-and grows it again in the next takes about 9,000 (a divbench ``ggrid``
-rep: 8,575-9,081 against 491-541, glibc 2.36), and which a process
-does varies from process to process at the same code. The budget
-holds per query: threads that query at the same time, as a threaded
-divergence matrix does, hold up to threads x ``_BLOCK_BYTES`` of temporaries.
+with 4 MiB blocks and 500 with 256 KiB blocks. Column-sized arrays
+freed after each column did the same on a larger scale: glibc trimmed
+the top of its heap after a column and grew it again in the next, about
+9,000 faults for that matrix, in some processes and not in others at
+the same code. So a 1-D column of a matrix build works in its thread's
+``_Workspace``, kept from column to column and build to build, and
+allocates no array of its size but its row numbers and masks; the build
+then takes no fault once warm (glibc 2.36). The budget holds per query: threads that query at the
+same time, as a threaded divergence matrix does, hold up to threads x
+``_BLOCK_BYTES`` of temporaries, and each such thread its workspace.
 
 Squared distances are used internally; square roots are taken once at
 the boundary. All results are exact. The sorted-line route, the d > 15
@@ -71,6 +77,7 @@ force in eight, so there the two may differ in the last bits.
 from __future__ import annotations
 
 import math
+import threading
 from itertools import accumulate
 
 import numpy as np
@@ -156,62 +163,73 @@ class NeighborIndex:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def _rank_distances(self, queries: np.ndarray, ranks: tuple, workers: int) -> np.ndarray:
+    def _rank_distances(self, queries: np.ndarray, ranks: tuple, workers: int,
+                        out: np.ndarray | None = None) -> np.ndarray:
         """Distances to the indexed points of the given 1-based neighbor
-        ranks (ascending, at most the index size), one column per rank."""
+        ranks (ascending, at most the index size), one column per rank;
+        on the sorted line in ``out`` if it is given."""
         if self.tree is None:
             return _screened_rank_distances(queries, self.points, self.screen, ranks)
         if self.dim == 1:
-            return _line_rank_distances(queries[:, 0], self.tree, ranks)
+            return _line_rank_distances(queries[:, 0], self.tree, ranks, out)
         return self.tree.query(queries, k=list(ranks), workers=workers)[0]
 
 
 def _in_blocks(n: int, row_bytes: int, ncols: int, block,
-               max_rows: int | None = None) -> np.ndarray:
-    """The n x ncols table filled by ``block(rows)``, one slice of rows at
-    a time: as many as keep row_bytes per row within _BLOCK_BYTES, at
-    most max_rows if given, and at least one."""
+               max_rows: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """The n x ncols table filled by ``block(rows)``, in ``out`` if given,
+    one slice of rows at a time: as many as keep row_bytes per row within
+    _BLOCK_BYTES, at most max_rows if given, and at least one."""
     step = _BLOCK_BYTES // row_bytes
     if max_rows is not None:
         step = min(step, max_rows)
     step = max(1, step)
-    out = np.empty((n, ncols))
+    if out is None:
+        out = np.empty((n, ncols))
     for start in range(0, n, step):
         rows = slice(start, start + step)
         out[rows] = block(rows)
     return out
 
 
-def _line_rank_distances(q: np.ndarray, line: np.ndarray, ranks: tuple) -> np.ndarray:
+def _line_rank_distances(q: np.ndarray, line: np.ndarray, ranks: tuple,
+                         out: np.ndarray | None = None) -> np.ndarray:
     """Route for d = 1 against ``line``, the sorted sample c_0 <= ... <=
-    c_(m-1): one binary search per midpoint and rank over the sorted
-    queries; bitwise equal to _brute_rank_distances.
+    c_(m-1): one binary search per point or midpoint and rank over the
+    sorted queries; bitwise equal to _brute_rank_distances. The table is
+    made in ``out`` if it is given.
 
     The squared distances a_j = (q - c_j)**2, formed as brute force forms
     them, never rise over the points c_j <= q and never fall over the
-    points c_j >= q, rounding included. So the r-th smallest is the least
-    over runs i..i+r-1 of max(a_i, a_(i+r-1)), and the run that gives it
-    starts at i0, the number of midpoints c_i/2 + c_(i+r)/2 below q
-    (halves, so that the sum cannot overflow). v = max(a_i0, a_(i0+r-1))
-    is then the r-th smallest if no point outside the run is nearer.
-    That holds, ties included, when the run's outer neighbours lie
-    beyond q and are at least v: c_(i0-1) <= q and a_(i0-1) >= v, and
-    c_(i0+r) >= q and a_(i0+r) >= v, a missing neighbour counting as
-    infinitely far. Rounding moves a run only where a midpoint rounds up
-    onto or past q: the right-hand check then fails (and either may on
-    subnormal points, whose halves round). The rows that fail it are
-    answered by _window_rank_distances.
+    points c_j >= q, rounding included.
 
-    The run starts come from a merge of the midpoints into the queries,
-    taken in sorted order (argsorted first only if they are not, and
-    their rows put back afterwards). With pos_t the number of queries at
-    or below midpoint t, one search per midpoint, midpoint t lies below
-    query i exactly when pos_t <= i; so the run starts of a block of
-    query rows are the midpoint numbers repeated over the gaps between
-    the pos_t that fall inside it, the same i0 that a search per query
+    Rank 1 is therefore the smaller of the squares of the two points
+    around q: c_(p-1), the last point below q, and c_p, the first at or
+    above it, with p the number of points below q. It needs no check.
+
+    For r >= 2 the r-th smallest is the least over runs i..i+r-1 of
+    max(a_i, a_(i+r-1)), and the run that gives it starts at i0, the
+    number of midpoints c_i/2 + c_(i+r)/2 below q (halves, so that the
+    sum cannot overflow). v = max(a_i0, a_(i0+r-1)) is then the r-th
+    smallest if no point outside the run is nearer. That holds, ties
+    included, when the run's outer neighbours lie beyond q and are at
+    least v: c_(i0-1) <= q and a_(i0-1) >= v, and c_(i0+r) >= q and
+    a_(i0+r) >= v, a missing neighbour counting as infinitely far.
+    Rounding moves a run only where a midpoint rounds up onto or past q:
+    the right-hand check then fails (and either may on subnormal points,
+    whose halves round). The rows that fail it are answered by
+    _window_rank_distances.
+
+    p and i0 come from a merge of the points or midpoints into the
+    queries, taken in sorted order (argsorted first only if they are
+    not, and their rows put back afterwards). With pos_t the number of
+    queries at or below value t, one search per value, value t lies
+    below query i exactly when pos_t <= i; so the counts of a block of
+    query rows are the value numbers repeated over the gaps between the
+    pos_t that fall inside it, the same counts that a search per query
     would find.
 
-    A block's row holds the run start, up to four gathered, subtracted or
+    A block's row holds the count, up to four gathered, subtracted or
     squared values, a few masks and its results.
     """
     n, m = q.shape[0], line.shape[0]
@@ -220,8 +238,8 @@ def _line_rank_distances(q: np.ndarray, line: np.ndarray, ranks: tuple) -> np.nd
         by = np.argsort(q, kind="stable")
         q = q[by]
     half = line * 0.5
-    mids = [half[:m - r] + half[r:] for r in ranks]
-    pos = [np.searchsorted(q, mid, "right") for mid in mids]
+    pos = [np.searchsorted(q, line if r == 1 else half[:m - r] + half[r:], "right")
+           for r in ranks]
     # the line between two infinitely far points, so that every run has
     # outer neighbours
     padded = np.concatenate(([-np.inf], line, [np.inf]))
@@ -229,19 +247,22 @@ def _line_rank_distances(q: np.ndarray, line: np.ndarray, ranks: tuple) -> np.nd
 
     def block(rows):
         qb, ok = q[rows], exact[rows]
-        out = np.empty((len(qb), len(ranks)))
+        table = np.empty((len(qb), len(ranks)))
         for j, (r, p) in enumerate(zip(ranks, pos)):
             i0 = _run_starts(p, rows.start, rows.start + len(qb))
             v = (qb - padded[1:].take(i0)) ** 2
-            if r > 1:
+            if r == 1:
+                # c_(p-1) is padded[p], c_p is padded[p + 1]
+                np.minimum(v, (qb - padded.take(i0)) ** 2, out=v)
+            else:
                 np.maximum(v, (qb - padded[r:].take(i0)) ** 2, out=v)
-            for shift, beyond in ((0, np.less_equal), (r + 1, np.greater_equal)):
-                c = padded[shift:].take(i0)
-                ok &= beyond(c, qb) & ((qb - c) ** 2 >= v)
-            out[:, j] = v
-        return np.sqrt(out, out=out)
+                for shift, beyond in ((0, np.less_equal), (r + 1, np.greater_equal)):
+                    c = padded[shift:].take(i0)
+                    ok &= beyond(c, qb) & ((qb - c) ** 2 >= v)
+            table[:, j] = v
+        return np.sqrt(table, out=table)
 
-    out = _in_blocks(n, (6 + len(ranks)) * 8, len(ranks), block)
+    out = _in_blocks(n, (6 + len(ranks)) * 8, len(ranks), block, out=out)
     redo = np.flatnonzero(~exact)
     if redo.size:
         out[redo] = _window_rank_distances(q[redo], line, ranks)
@@ -252,12 +273,14 @@ def _line_rank_distances(q: np.ndarray, line: np.ndarray, ranks: tuple) -> np.nd
 
 def _run_starts(pos: np.ndarray, start: int, stop: int) -> np.ndarray:
     """The run starts of sorted query rows start..stop-1: for row i, the
-    number of midpoints t with pos[t] <= i, where pos[t] (ascending) is
-    the number of queries at or below midpoint t. Midpoint numbers
-    repeated over the gaps between the pos[t] inside the rows."""
-    lo, hi = pos.searchsorted((start, stop - 1), "right")
-    gaps = np.diff(np.concatenate(([start], pos[lo:hi], [stop])))
-    return np.repeat(np.arange(lo, hi + 1), gaps)
+    number of values t (points or midpoints) with pos[t] <= i, where
+    pos[t] (ascending) is the number of queries at or below value t.
+    Value numbers repeated over the gaps between the pos[t] inside the
+    rows."""
+    lo, hi = int(pos.searchsorted(start, "right")), int(pos.searchsorted(stop - 1, "right"))
+    edges = np.empty(hi - lo + 2, pos.dtype)
+    edges[0], edges[1:-1], edges[-1] = start, pos[lo:hi], stop
+    return np.repeat(np.arange(lo, hi + 1), edges[1:] - edges[:-1])
 
 
 def _window_rank_distances(q: np.ndarray, line: np.ndarray, ranks: tuple) -> np.ndarray:
@@ -406,7 +429,8 @@ class QueryBatch:
     query's distances depend on its value alone, so the sort need not be
     stable; a batch of one group takes its index's sorted line and order
     as they are. On d >= 2 both are None and the queries are the groups'
-    points stacked. Read-only, so safe for concurrent queries.
+    points stacked. Safe for concurrent queries: on d = 1 each thread
+    that calls ``kth_nn_cross`` works in its own ``_Workspace``.
     """
 
     __slots__ = ("groups", "bounds", "line", "order")
@@ -425,11 +449,13 @@ class QueryBatch:
                     self.order = self.order.astype(np.int32)
                 self.line = pooled[self.order]
 
-    def query(self, skip: int | None = None):
+    def query(self, skip: int | None = None, workspace: _Workspace | None = None):
         """(queries, split) for every group but ``skip``: the query rows,
         sorted on d = 1 and else the groups' points stacked in group
         order, and a function that splits values, one per query row, into
-        one array per group, each in its group's point order."""
+        one array per group, each in its group's point order. On d = 1
+        the compressed line and permutation and the split arrays are made
+        in ``workspace`` if it is given."""
         groups = [g for g in range(len(self.groups)) if g != skip]
         if self.line is None:
             cuts = np.cumsum([len(self.groups[g]) for g in groups[:-1]])
@@ -439,14 +465,82 @@ class QueryBatch:
         line, order = self.line, self.order
         if skip is not None:
             kept = (order < self.bounds[skip]) | (order >= self.bounds[skip + 1])
-            line, order = line[kept], order[kept]
+            if workspace is None:
+                line, order = line[kept], order[kept]
+            else:
+                # np.compress(..., out=) makes the same row numbers and
+                # took 0.48 ms a 48,000-row column, against 0.14 ms
+                rows = np.flatnonzero(kept)
+                line = line.take(rows, out=workspace.queries[:len(rows)], mode="clip")
+                order = order.take(rows, out=workspace.order[:len(rows)], mode="clip")
 
         def split(values):
-            stacked = np.empty(self.bounds[-1])
+            stacked = np.empty(self.bounds[-1]) if workspace is None else workspace.stacked
             stacked[order] = values
             return [stacked[self.bounds[g]:self.bounds[g + 1]] for g in groups]
 
         return line[:, None], split
+
+    def kth_nn_cross(self, skip: int | None, index: NeighborIndex, k: int,
+                     workers: int = 1) -> list:
+        """kth_nn_cross of every group but ``skip`` against ``index``, one
+        array per group in its point order.
+
+        On d = 1 the compressed queries and permutation, the route's rank
+        table, nu_k and the arrays returned are in this thread's
+        ``_Workspace``: they hold until the thread's next call on any
+        batch, so a caller reduces them first.
+        """
+        workspace = (None if self.line is None
+                     else _Workspace.of_thread(self.bounds[-1], self.order.dtype))
+        queries, split = self.query(skip, workspace)
+        return split(kth_nn_cross(queries, index, k, workers=workers, workspace=workspace))
+
+
+class _Workspace:
+    """One thread's buffers for the d = 1 column queries of QueryBatches
+    of up to ``size`` points: the compressed sorted queries (``queries``)
+    and their permutation (``order``), the route's rank table (``table``,
+    up to two ranks a row), nu_k (``nu``) and the target of the split
+    (``stacked``), 40 bytes a point with an int32 permutation.
+
+    A column then allocates, beyond masks of a byte a query, only the
+    numbers of its rows in the batch's line (8 bytes a query).
+
+    A thread keeps its workspace from one matrix build to the next, and
+    replaces it only for a larger batch or another permutation type; it
+    is freed with the thread, so a build's pool threads free theirs when
+    the build ends. Held by the batch instead, and so allocated once per
+    build, the buffers left glibc a free block at the top of its heap to
+    give back after the build and take again in the next: the build of
+    25 one-dimensional groups of 2000 points then took about 1,070 minor
+    page faults, and none with the workspace held by the thread (glibc
+    2.36).
+
+    ``table`` serves both route calls of a cross query: the coincident
+    rows' rank k + 1 is asked for after the first table has been read.
+    """
+
+    __slots__ = ("queries", "order", "table", "nu", "stacked")
+    _threads = threading.local()
+
+    def __init__(self, size: int, order_dtype):
+        self.queries = np.empty(size)
+        self.order = np.empty(size, order_dtype)
+        self.table = np.empty(2 * size)
+        self.nu = np.empty(size)
+        self.stacked = np.empty(size)
+
+    @classmethod
+    def of_thread(cls, size: int, order_dtype) -> "_Workspace":
+        """The calling thread's workspace, made or replaced to hold size points."""
+        workspace = getattr(cls._threads, "workspace", None)
+        if workspace is None or len(workspace.nu) < size or workspace.order.dtype != order_dtype:
+            workspace = cls._threads.workspace = cls(size, order_dtype)
+        return workspace
+
+    def rank_table(self, rows: int, ncols: int) -> np.ndarray:
+        return self.table[:rows * ncols].reshape(rows, ncols)
 
 
 def build_index(points) -> NeighborIndex:
@@ -466,7 +560,8 @@ def kth_nn_within(index: NeighborIndex, k: int, *, workers: int = 1) -> np.ndarr
     return split(rho)[0]
 
 
-def kth_nn_cross(query_points, index: NeighborIndex, k: int, *, workers: int = 1) -> np.ndarray:
+def kth_nn_cross(query_points, index: NeighborIndex, k: int, *, workers: int = 1,
+                 workspace: _Workspace | None = None) -> np.ndarray:
     """Distance from each query point to its k-th nearest indexed point.
 
     A zero-distance match (the query point coinciding exactly with an
@@ -475,16 +570,24 @@ def kth_nn_cross(query_points, index: NeighborIndex, k: int, *, workers: int = 1
     distance means the indexed sample holds duplicates at the query
     location and raises DegenerateDistanceError. Each query's distance
     is the same whatever the other queries and their order; on a 1-D
-    index, sorted queries skip a sort.
+    index, sorted queries skip a sort. ``workspace``, which
+    ``QueryBatch.kth_nn_cross`` passes on d = 1, holds the rank table and
+    the result (a view of its ``nu``).
     """
     queries = _as_points(query_points, "query_points")
     if queries.shape[1] != index.dim:
         raise ValueError(
             f"query dimension {queries.shape[1]} != index dimension {index.dim}"
         )
+    if workspace is None:
+        return _kth_cross(
+            queries, index.size, k, lambda qs, ranks: index._rank_distances(qs, ranks, workers)
+        )
     return _kth_cross(
-        queries, index.size, k, lambda qs, ranks: index._rank_distances(qs, ranks, workers)
-    )
+        queries, index.size, k,
+        lambda qs, ranks: index._rank_distances(
+            qs, ranks, workers, workspace.rank_table(len(qs), len(ranks))),
+        workspace.nu[:len(queries)])
 
 
 def _kth_within(n: int, k: int, rank_distances) -> np.ndarray:
@@ -503,8 +606,10 @@ def _kth_within(n: int, k: int, rank_distances) -> np.ndarray:
     return rank_distances((k + 1,))[:, 0]
 
 
-def _kth_cross(queries: np.ndarray, m: int, k: int, rank_distances) -> np.ndarray:
-    """k-th nearest of m indexed points per query, a coincidence excluded.
+def _kth_cross(queries: np.ndarray, m: int, k: int, rank_distances,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """k-th nearest of m indexed points per query, a coincidence excluded,
+    in ``out`` if it is given.
 
     ``rank_distances(qs, ranks)`` returns the distances of the query rows
     qs to the indexed points of the given neighbor ranks.
@@ -519,7 +624,9 @@ def _kth_cross(queries: np.ndarray, m: int, k: int, rank_distances) -> np.ndarra
     # rank k+1, the answer with one, is computed for the coincident rows
     # alone.
     dist = rank_distances(queries, (1, k) if k > 1 else (1,))
-    out = dist[:, -1].copy()
+    if out is None:
+        out = np.empty(len(queries))
+    out[:] = dist[:, -1]
     coincident = np.flatnonzero(dist[:, 0] == 0.0)
     if coincident.size:
         if k == m:

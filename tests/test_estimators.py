@@ -2,11 +2,12 @@
 
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divknn import baselines, knn
@@ -317,6 +318,31 @@ def test_l2_out_of_range_after_rescaling_still_raises(j):
     x, y = _L2_BASE
     with pytest.raises(NonFiniteEstimateError, match="out of float64 range"):
         est.l2_squared(math.ldexp(1.0, j) * x, math.ldexp(1.0, j) * y, 5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.sampled_from([1, 2, 3, 80]), exponent=st.integers(-1000, 1000))
+# j = -520 and -530 at d = 1, and j = -262 at d = 2
+@example(d=1, exponent=516)
+@example(d=1, exponent=526)
+@example(d=2, exponent=519)
+def test_l2_estimate_scales_exactly_where_its_powers_turn_subnormal(d, exponent):
+    # Scaling rho_k and nu_k by 2^j scales L2^2 by exactly 2^(-d j), for
+    # every j that keeps the estimate a normal float: j is drawn so that
+    # the scaled estimate's binary exponent is within 1000 of 0. Where u,
+    # v or v^2 is subnormal (1-D: j below about -513) the estimate is
+    # rescaled as where they overflow; before, it kept the subnormal
+    # values and lost up to 1.2e-7 relative (d = 1, j = -530) without a
+    # flag. The distances are scaled exactly here: the neighbor queries
+    # themselves square them, and below about 1e-154 those squares are
+    # subnormal too.
+    rng = _rng(5)
+    x, y = rng.normal(size=(300, d)), rng.normal(0.5, 1.0, size=(300, d))
+    rho, nu = est._pair_statistics(x, y, 5, 1)[:2]
+    base = est._l2_squared_estimate(rho, nu, 300, 300, d, 5)
+    j = (math.frexp(base)[1] - exponent) // d
+    got = est._l2_squared_estimate(np.ldexp(rho, j), np.ldexp(nu, j), 300, 300, d, 5)
+    assert math.isclose(got, math.ldexp(base, -d * j), rel_tol=1e-12)
 
 
 def test_renyi_underflow_raises():
@@ -771,11 +797,11 @@ def test_line_batches_equal_the_pair_api(monkeypatch, cfg, workers):
     coincident = []
     real = knn._line_rank_distances
 
-    def recorded(q, line, ranks):
+    def recorded(q, line, ranks, out=None):
         # a within-sample query reads rank k + 1 too, on the line itself
         if ranks == (cfg.k + 1,) and not np.shares_memory(q, line):
             coincident.append(len(q))
-        return real(q, line, ranks)
+        return real(q, line, ranks, out)
 
     monkeypatch.setattr(knn, "_line_rank_distances", recorded)
     pair = _pair_estimate(cfg)
@@ -785,6 +811,28 @@ def test_line_batches_equal_the_pair_api(monkeypatch, cfg, workers):
     for ds_from, ds_to in ((other, train), (train, other), (Dataset(groups[:2]), other)):
         _assert_pair_values(est.cross_divergence_matrix(ds_from, ds_to, cfg, workers=workers),
                             ds_from, ds_to, pair, cfg)
+
+
+def test_threads_keep_their_own_line_workspaces():
+    # A 1-D column writes its queries, rank table, nu_k and split arrays
+    # into its thread's knn workspace. With more threads than cores and a
+    # switch interval of a microsecond, threads interleave inside their
+    # columns, so a workspace shared between threads would mix their nu_k;
+    # then a build on this thread reuses its own workspace. Every cell
+    # must equal the pair API's.
+    rng = _rng(141)
+    ds = Dataset(tuple(Group(f"g{i}", rng.normal(0.2 * i, 1.0, size=(300 + 40 * i, 1)))
+                       for i in range(8)))
+    cfg = est.EstimatorConfig("renyi", 0.5, 5)
+    pair = _pair_estimate(cfg)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = est.divergence_matrix(ds, cfg, workers=8).values
+    finally:
+        sys.setswitchinterval(interval)
+    _assert_pair_values(threaded, ds, ds, pair, cfg)
+    assert np.array_equal(est.divergence_matrix(ds, cfg).values, threaded)
 
 
 def test_pool_has_at_most_one_thread_per_group(monkeypatch):

@@ -1,8 +1,13 @@
 """Neighbor-distance queries: each route vs brute force, edge semantics, volumes."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,14 +385,15 @@ def test_merged_run_starts_equal_one_search_per_query(seed, m, n, r, decimals, s
 
 
 @pytest.mark.parametrize("decimals, ranks, fallback", [
-    (1, (1, 5), 187), (1, (6,), 191), (2, (1, 5), 50), (2, (6,), 37)])
+    (1, (1, 5), 187), (1, (6,), 191), (2, (1, 5), 39), (2, (6,), 37)])
 def test_line_route_sends_as_many_rows_to_the_window_as_a_search_per_query(
         monkeypatch, decimals, ranks, fallback):
     # The merge finds the same run starts as one search per query did, so
     # the certificate fails on the same rows. The counts are those of the
-    # search per query, on rounded data whose ties send rows to the
-    # window; stacked sorted runs and the pooled sort of the same points
-    # send the same rows.
+    # search per query at the ranks other than 1, on rounded data whose
+    # ties send rows to the window: rank 1 is taken from the two points
+    # around each query and never falls back. Stacked sorted runs and the
+    # pooled sort of the same points send the same rows.
     rng = _rng(13)
     groups = [np.round(rng.normal(0.3 * g, 1.0 + 0.1 * g, size=400) * 3.0, decimals)
               for g in range(6)]
@@ -408,15 +414,73 @@ def test_line_route_sends_as_many_rows_to_the_window_as_a_search_per_query(
 
 
 def test_line_route_falls_back_where_a_midpoint_rounds_across_q(monkeypatch):
-    # fl(0.1/2 + 0.3/2) is 0.2, q itself, so the search keeps the run
-    # {0.1}; yet 0.3 - 0.2 rounds below 0.2 - 0.1, so 0.3 is nearer and
-    # the certificate rejects the row
+    # At rank 2, fl(0.1/2 + 0.3/2) is 0.2, q itself, so the search keeps
+    # the run {0.1, 0.18}; yet 0.3 - 0.2 rounds below 0.2 - 0.1, so 0.3 is
+    # nearer and the certificate rejects the row. Rank 1 takes the nearer
+    # of the two points around q, with no certificate: q = 0.2 between
+    # 0.1 and 0.3 gets 0.3 without the window.
+    pts = np.array([0.1, 0.18, 0.3])
     fell = _count_rows(monkeypatch, "_window_rank_distances")
+    got = knn._line_rank_distances(np.array([0.2]), pts, (2,))
+    assert fell[0] == 1
+    assert np.array_equal(got, knn._brute_rank_distances(np.array([[0.2]]), pts[:, None], (2,)))
+    assert got[0, 0] == 0.3 - 0.2
     got = knn._line_rank_distances(np.array([0.2]), np.array([0.1, 0.3]), (1,))
     assert fell[0] == 1
     assert np.array_equal(got, knn._brute_rank_distances(np.array([[0.2]]),
                                                          np.array([[0.1], [0.3]]), (1,)))
     assert got[0, 0] == 0.3 - 0.2
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 40),
+    n=st.integers(1, 60),
+    decimals=st.sampled_from([None, 0, 1, 2]),
+    scale_exp=st.one_of(st.floats(-6.0, 6.0), st.floats(-163.0, -157.0),
+                        st.floats(152.0, 155.0), st.floats(-320.0, -306.0),
+                        st.floats(290.0, 300.0)),
+    on=st.sampled_from(["nothing", "points", "midpoints"]),
+    sort=st.booleans(),
+)
+def test_line_rank_one_is_the_nearer_of_the_two_points_around_q(
+        monkeypatch, seed, m, n, decimals, scale_exp, on, sort):
+    # Rank 1 on the line is the smaller square of the last point below q
+    # and the first at or above it, exact under rounding because the
+    # squares never rise towards q: bitwise the oracle's, and no row goes
+    # to the window. Rounded draws make duplicate points and queries on
+    # a point or on the decimal midpoint of two; scales from subnormal
+    # (below 1e-308) to 1e300 make squares underflow and overflow.
+    rng = _rng(seed)
+
+    def rounded(x):
+        return x if decimals is None else np.round(x, decimals)
+
+    scale = 10.0 ** scale_exp
+    line = np.sort(rounded(rng.normal(size=m) * 3.0)) * scale
+    q = rounded(rng.normal(size=n) * 3.0)
+    pick = rng.integers(0, m, size=(2, len(q[::2])))
+    if on == "points":
+        q[::2] = line[pick[0]] / scale
+    elif on == "midpoints":
+        q[::2] = rounded((line[pick[0]] + line[pick[1]]) / (2.0 * scale))
+    q *= scale
+    if sort:
+        q.sort()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        want = knn._brute_rank_distances(q[:, None], line[:, None], (1,))
+    fell = _count_rows(monkeypatch, "_window_rank_distances")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore" if caught else "error")
+            got = knn._line_rank_distances(q, line, (1,))
+    finally:
+        monkeypatch.undo()
+    assert fell[0] == 0
+    assert np.array_equal(got, want)
 
 
 def test_line_index_keeps_the_sorting_order():
@@ -609,6 +673,42 @@ def test_threaded_matrix_memory_stays_within_twice_the_budget(monkeypatch):
             monkeypatch.undo()
         assert np.array_equal(got, want)
         assert peak <= 2 * 4 * budget
+
+
+_CHURN = textwrap.dedent("""
+    import resource
+    import numpy as np
+    from divknn import estimators
+    from divknn.dataset import Dataset, Group
+
+    rng = np.random.Generator(np.random.Philox(15))
+    ds = Dataset(tuple(Group(f"g{i}", rng.normal(0.1 * i, 0.5 + 0.02 * i, size=(2000, 1)))
+                       for i in range(25)))
+    cfg = estimators.EstimatorConfig("renyi", 0.5, 20)
+    faults = []
+    for _ in range(5):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        estimators.divergence_matrix(ds, cfg, workers=1)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    print(*faults)
+""")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor page faults")
+def test_line_matrix_builds_do_not_regrow_the_heap():
+    # A 1-D matrix column's queries, rank table, nu_k and split arrays are
+    # the thread's workspace, kept from one build to the next. Freed and allocated again per column, they
+    # left glibc a free block at the top of its heap to give back and take
+    # again, and such a process took about 9,000 minor page faults a
+    # build (25 columns of 48,000 queries); with the workspace it takes
+    # none once warm. A fresh interpreter without malloc settings.
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env["PYTHONPATH"] = str(Path(knn.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", _CHURN], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    faults = [int(f) for f in proc.stdout.split()]
+    assert sum(faults[2:]) <= 3000, faults
 
 
 def test_high_dim_falls_back_to_brute():

@@ -122,8 +122,9 @@ class NeighborIndex:
     ``tree`` holds the structure of the route chosen from d:
 
     * d = 1: the sorted coordinates, a 1-D array searched as a sorted
-      line; ``order`` is then the stable argsort that sorts them, so
-      ``tree[i]`` is point ``order[i]``;
+      line; ``order`` is then the stable argsort that sorts them (int32
+      where the points' number fits), so ``tree[i]`` is point
+      ``order[i]``;
     * 2 <= d <= 15: a balanced kd-tree (median split on the widest-spread
       coordinate, leaf size 16);
     * d > 15: None, and queries run brute force: a matrix-product screen
@@ -147,7 +148,7 @@ class NeighborIndex:
         self.points = pts
         self.order = self.screen = None
         if pts.shape[1] == 1:
-            self.order = np.argsort(pts[:, 0], kind="stable")
+            self.order = _permutation(pts[:, 0], "stable")
             self.tree = pts[self.order, 0]
         elif pts.shape[1] > BRUTE_FORCE_DIM:
             self.tree = None
@@ -417,6 +418,13 @@ def _certified_candidates(qb, points, cand, boundary, margin, kq):
     return d2, np.isfinite(bound) & (bound >= d2[:, -1])
 
 
+def _permutation(values: np.ndarray, kind: str | None = None) -> np.ndarray:
+    """argsort(values), int32 where their number fits: a sorted index and a
+    QueryBatch narrow theirs alike, so one workspace serves both."""
+    order = np.argsort(values, kind=kind)
+    return order.astype(np.int32) if len(values) <= np.iinfo(np.int32).max else order
+
+
 class QueryBatch:
     """The points of several indexed groups as the query rows of
     cross-sample queries, in the order that answers them fastest.
@@ -444,9 +452,7 @@ class QueryBatch:
                 self.line, self.order = indexes[0].tree, indexes[0].order
             else:
                 pooled = np.concatenate(self.groups)[:, 0]
-                self.order = np.argsort(pooled)
-                if len(pooled) <= np.iinfo(np.int32).max:
-                    self.order = self.order.astype(np.int32)
+                self.order = _permutation(pooled)
                 self.line = pooled[self.order]
 
     def query(self, skip: int | None = None, workspace: _Workspace | None = None):
@@ -464,15 +470,13 @@ class QueryBatch:
                     lambda values: np.split(values, cuts))
         line, order = self.line, self.order
         if skip is not None:
-            kept = (order < self.bounds[skip]) | (order >= self.bounds[skip + 1])
-            if workspace is None:
-                line, order = line[kept], order[kept]
-            else:
-                # np.compress(..., out=) makes the same row numbers and
-                # took 0.48 ms a 48,000-row column, against 0.14 ms
-                rows = np.flatnonzero(kept)
-                line = line.take(rows, out=workspace.queries[:len(rows)], mode="clip")
-                order = order.take(rows, out=workspace.order[:len(rows)], mode="clip")
+            # np.compress(..., out=) makes the same rows and took 0.48 ms
+            # a 48,000-row column, against 0.14 ms
+            rows = np.flatnonzero((order < self.bounds[skip]) | (order >= self.bounds[skip + 1]))
+            line = line.take(rows, mode="clip",
+                             out=None if workspace is None else workspace.queries[:len(rows)])
+            order = order.take(rows, mode="clip",
+                               out=None if workspace is None else workspace.order[:len(rows)])
 
         def split(values):
             stacked = np.empty(self.bounds[-1]) if workspace is None else workspace.stacked
@@ -508,14 +512,15 @@ class _Workspace:
     numbers of its rows in the batch's line (8 bytes a query).
 
     A thread keeps its workspace from one matrix build to the next, and
-    replaces it only for a larger batch or another permutation type; it
-    is freed with the thread, so a build's pool threads free theirs when
-    the build ends. Held by the batch instead, and so allocated once per
-    build, the buffers left glibc a free block at the top of its heap to
-    give back after the build and take again in the next: the build of
-    25 one-dimensional groups of 2000 points then took about 1,070 minor
-    page faults, and none with the workspace held by the thread (glibc
-    2.36).
+    replaces it only for a larger batch or another permutation type
+    (indexes and batches narrow theirs alike, so only past 2**31 - 1
+    points); it is freed with the thread, so a build's pool threads free
+    theirs when the build ends. Held by the batch instead, and so
+    allocated once per build, the buffers left glibc a free block at the
+    top of its heap to give back after the build and take again in the
+    next: the build of 25 one-dimensional groups of 2000 points then took
+    about 1,070 minor page faults, and none with the workspace held by
+    the thread (glibc 2.36).
 
     ``table`` serves both route calls of a cross query: the coincident
     rows' rank k + 1 is asked for after the first table has been read.
@@ -579,15 +584,11 @@ def kth_nn_cross(query_points, index: NeighborIndex, k: int, *, workers: int = 1
         raise ValueError(
             f"query dimension {queries.shape[1]} != index dimension {index.dim}"
         )
-    if workspace is None:
-        return _kth_cross(
-            queries, index.size, k, lambda qs, ranks: index._rank_distances(qs, ranks, workers)
-        )
     return _kth_cross(
         queries, index.size, k,
-        lambda qs, ranks: index._rank_distances(
-            qs, ranks, workers, workspace.rank_table(len(qs), len(ranks))),
-        workspace.nu[:len(queries)])
+        lambda qs, ranks: index._rank_distances(qs, ranks, workers, None if workspace is None
+                                                else workspace.rank_table(len(qs), len(ranks))),
+        None if workspace is None else workspace.nu[:len(queries)])
 
 
 def _kth_within(n: int, k: int, rank_distances) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import math
 import os
+import platform
 import subprocess
 import sys
 import textwrap
@@ -499,9 +500,9 @@ def _record_rank_queries(monkeypatch):
     query rows it gets and the ranks it is asked for."""
     real, calls = knn.NeighborIndex._rank_distances, []
 
-    def recorded(self, queries, ranks, workers):
+    def recorded(self, queries, ranks, workers, out=None):
         calls.append((queries.copy(), ranks))
-        return real(self, queries, ranks, workers)
+        return real(self, queries, ranks, workers, out)
 
     monkeypatch.setattr(knn.NeighborIndex, "_rank_distances", recorded)
     return calls
@@ -675,6 +676,26 @@ def test_threaded_matrix_memory_stays_within_twice_the_budget(monkeypatch):
         assert peak <= 2 * 4 * budget
 
 
+def test_one_group_and_pooled_batches_share_a_workspace():
+    # a matrix whose row side is one group queries from the index's own
+    # line and order; its permutation type matches a pooled batch's, so a
+    # thread alternating the two keeps one workspace
+    rng = _rng(16)
+    indexes = [knn.build_index(rng.normal(size=(60, 1))) for _ in range(3)]
+    target = rng.normal(size=(50, 1))
+    index = knn.build_index(target)
+    pooled, one = knn.QueryBatch(indexes), knn.QueryBatch(indexes[:1])
+    assert one.order.dtype == pooled.order.dtype
+    pooled.kth_nn_cross(0, index, 3)
+    workspace = knn._Workspace._threads.workspace
+    for batch, skip in ((one, None), (pooled, 2), (one, None)):
+        got = batch.kth_nn_cross(skip, index, 3)
+        assert knn._Workspace._threads.workspace is workspace
+        rest = [g for i, g in enumerate(batch.groups) if i != skip]
+        assert all(np.array_equal(nu, knn.brute_kth_nn_cross(g, target, 3))
+                   for nu, g in zip(got, rest))
+
+
 _CHURN = textwrap.dedent("""
     import resource
     import numpy as np
@@ -694,14 +715,17 @@ _CHURN = textwrap.dedent("""
 """)
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor page faults")
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="counts minor page faults under glibc's heap trimming")
 def test_line_matrix_builds_do_not_regrow_the_heap():
     # A 1-D matrix column's queries, rank table, nu_k and split arrays are
-    # the thread's workspace, kept from one build to the next. Freed and allocated again per column, they
-    # left glibc a free block at the top of its heap to give back and take
-    # again, and such a process took about 9,000 minor page faults a
-    # build (25 columns of 48,000 queries); with the workspace it takes
-    # none once warm. A fresh interpreter without malloc settings.
+    # the thread's workspace, kept from one build to the next. Freed and
+    # allocated again per column, they left glibc a free block at the top
+    # of its heap to give back and take again, and such a process took
+    # about 9,000 minor page faults a build (25 columns of 48,000
+    # queries); with the workspace it takes none once warm. The bound was
+    # measured on glibc 2.36; another allocator trims by other rules. A
+    # fresh interpreter without malloc settings.
     env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
     env["PYTHONPATH"] = str(Path(knn.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-c", _CHURN], env=env, capture_output=True,

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConfigError, ContractError, InsufficientSampleError
 from .estimators import RENYI, DivergenceMatrix, _divergence_table
@@ -84,6 +83,7 @@ def _logdet_pd(m: np.ndarray, what: str) -> float:
 
 
 def _solve_pd(m: np.ndarray, v: np.ndarray, what: str) -> np.ndarray:
+    from scipy.linalg import cho_factor, cho_solve  # on first use: import divknn skips it
     try:
         factor = cho_factor(m, lower=True)
     except np.linalg.LinAlgError:

@@ -322,10 +322,15 @@ def symmetrize(a: float, b: float) -> float:
 # Pairwise matrices.
 
 def _thread_count(workers) -> int:
-    """The threads that ``workers`` asks for: every CPU at -1, else workers."""
+    """The threads that ``workers`` asks for: at -1 every CPU this process
+    may run on (its affinity mask, where the platform has one), else workers."""
     if not (isinstance(workers, (int, np.integer)) and (workers == -1 or workers >= 1)):
         raise ConfigError(f"workers must be -1 or a positive integer, got {workers!r}")
-    return (os.cpu_count() or 1) if workers == -1 else int(workers)
+    if workers != -1:
+        return int(workers)
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _capture(fn, *args, **kwargs):

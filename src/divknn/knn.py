@@ -25,7 +25,9 @@ built:
   Queries that arrive unsorted are sorted first and their rows put back.
   The within-sample query and a matrix build (through a ``QueryBatch``)
   pass theirs sorted already;
-* 2 <= d <= 15, kd-tree: a balanced ``scipy.spatial.cKDTree``;
+* 2 <= d <= 15, kd-tree: a balanced ``scipy.spatial.cKDTree``,
+  imported when the first such index is built, so that 1-D and d > 15
+  runs never load ``scipy.spatial``;
 * d > 15, brute force, screened: with the points centered on their
   mean c, ||p - c||^2 - 2 (q - c).(p - c), one small matrix product per
   block of query rows, picks the kq + 8 most promising points per row.
@@ -50,21 +52,22 @@ the brute-force route sorts a row's candidates and keeps those columns.
 The sorted-line and brute-force routes work through their queries in
 blocks of rows whose temporaries stay within one byte budget,
 ``_BLOCK_BYTES``. The budget is small on purpose: glibc serves large
-allocations with fresh ``mmap`` pages, and at several MiB per block
-the page faults of every new temporary cost more than the arithmetic.
-Blocks of a few hundred KiB are mostly reused from the heap: a
-divergence matrix of 25 one-dimensional groups of 2000 points took
-about 180,000 minor page faults with unblocked temporaries, 200,000
-with 4 MiB blocks and 500 with 256 KiB blocks. Column-sized arrays
-freed after each column did the same on a larger scale: glibc trimmed
-the top of its heap after a column and grew it again in the next, about
-9,000 faults for that matrix, in some processes and not in others at
-the same code. So a 1-D column of a matrix build works in its thread's
-``_Workspace``, kept from column to column and build to build, and
-allocates no array of its size but its row numbers and masks; the build
-then takes no fault once warm (glibc 2.36). The budget holds per query: threads that query at the
-same time, as a threaded divergence matrix does, hold up to threads x
-``_BLOCK_BYTES`` of temporaries, and each such thread its workspace.
+allocations with fresh ``mmap`` pages, and every page of such a
+temporary faults when it is first written; blocks of a few hundred KiB
+are reused from the heap. Column-sized arrays freed after each column
+did the same on a larger scale: glibc trimmed the top of its heap after
+a column and grew it again in the next, about 9,000 minor page faults
+for a divergence matrix of 25 one-dimensional groups of 2000 points, in
+some processes and not in others at the same code. So a 1-D column of a
+matrix build works in its thread's ``_Workspace``, kept from column to
+column and build to build, and allocates no array of its size but its
+row numbers and masks. With it, a warm one-thread build of that matrix
+took 0 or 160 faults with 256 KiB blocks, 242-422 with 1 MiB blocks and
+8,575 with 4 MiB blocks, and none of the three was measurably faster
+(glibc 2.36, five processes each); so ``_BLOCK_BYTES`` stays 256 KiB.
+The budget holds per query: threads that query at the same time, as a
+threaded divergence matrix does, hold up to threads x ``_BLOCK_BYTES``
+of temporaries, and each such thread its workspace.
 
 Squared distances are used internally; square roots are taken once at
 the boundary. All results are exact. The sorted-line route, the d > 15
@@ -82,7 +85,6 @@ from itertools import accumulate
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.spatial import cKDTree
 from scipy.special import gammaln
 
 from .errors import DegenerateDistanceError, InsufficientSampleError
@@ -154,6 +156,9 @@ class NeighborIndex:
             self.tree = None
             self.screen = _Screen(pts)
         else:
+            # imported on first use: 1-D and d > 15 runs never load
+            # scipy.spatial, nor the scipy.linalg and scipy.sparse it brings
+            from scipy.spatial import cKDTree
             self.tree = cKDTree(pts, leafsize=LEAF_SIZE, balanced_tree=True)
 
     @property

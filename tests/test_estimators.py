@@ -847,7 +847,7 @@ def test_pool_has_at_most_one_thread_per_group(monkeypatch):
     ds, one = _toy_dataset(10, n=40), Dataset((Group("h", _rng(11).normal(size=(40, 1))),))
     cfg = est.EstimatorConfig("renyi", 0.5, 5)
     want = est.divergence_matrix(ds, cfg).values
-    cpus = os.cpu_count() or 1
+    cpus = est._thread_count(-1)
     for workers, size in ((1, 1), (2, 2), (10**9, 3), (-1, min(cpus, 3))):
         sizes.clear()
         assert np.array_equal(est.divergence_matrix(ds, cfg, workers=workers).values, want)
@@ -862,6 +862,37 @@ def test_pool_has_at_most_one_thread_per_group(monkeypatch):
     assert sizes == []
 
 
+def test_all_workers_counts_the_cpus_the_process_may_run_on(monkeypatch):
+    # a process pinned to fewer CPUs than the machine has (taskset, a
+    # container cpuset) starts one thread per CPU it may run on, and no
+    # more than the matrix has groups
+    sizes = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(est, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    ds = _toy_dataset(10, n=40)
+    cfg = est.EstimatorConfig("renyi", 0.5, 5)
+    want = est.divergence_matrix(ds, cfg).values
+    for affinity, size in (({3}, None), ({0, 5}, 2), (set(range(8)), 3)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=affinity: set(cpus),
+                            raising=False)
+        assert est._thread_count(-1) == len(affinity)
+        sizes.clear()
+        assert np.array_equal(est.divergence_matrix(ds, cfg, workers=-1).values, want)
+        assert sizes == ([size] if size else [])
+    # where the platform has no affinity mask, every CPU counts
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert est._thread_count(-1) == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert est._thread_count(-1) == 1
+    assert est._thread_count(3) == 3
+
+
 def test_queries_in_the_pool_run_on_one_thread(monkeypatch):
     # two column threads must not each start workers kd-tree threads; a
     # build with nothing to spread passes workers on to its queries
@@ -873,7 +904,7 @@ def test_queries_in_the_pool_run_on_one_thread(monkeypatch):
     ds = Dataset(tuple(Group(f"g{i}", _rng(i).normal(size=(40, 2))) for i in range(3)))
     cfg = est.EstimatorConfig("renyi", 0.5, 5)
     est.divergence_matrix(ds, cfg, workers=-1)
-    assert len(seen) == 6 and set(seen) == ({1} if (os.cpu_count() or 1) > 1 else {-1})
+    assert len(seen) == 6 and set(seen) == ({1} if est._thread_count(-1) > 1 else {-1})
     seen.clear()
     est.cross_divergence_matrix(Dataset(ds.groups[:1]), Dataset(ds.groups[1:2]), cfg, workers=-1)
     assert seen == [-1] * 4

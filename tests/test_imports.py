@@ -1,9 +1,17 @@
-"""Import graph: divknn loads numpy, scipy.special and scipy.spatial, no more.
+"""Import graph: divknn loads numpy and scipy.special, no more.
 
 Every CLI run and every benchmark set-up starts with ``import divknn``,
-so a module that only one subcommand needs is imported where it is
-used. The check runs in a fresh interpreter, because this test process
-may already hold the heavy modules.
+so a module that only one route or subcommand needs is imported where
+it is used:
+
+* ``scipy.spatial`` (which loads ``scipy.linalg``, ``scipy.sparse`` and
+  ``scipy.constants``) at the first kd-tree, built for 2 <= d <= 15;
+* ``scipy.linalg`` at the Gaussian baseline's first Cholesky solve;
+* ``scipy.integrate`` and ``scipy.stats`` by ``verify``, and
+  ``scipy.optimize`` by cluster-accuracy scoring.
+
+1-D and d > 15 runs load none of them. Each check runs in a fresh
+interpreter, because this test process may already hold these modules.
 """
 
 import os
@@ -18,6 +26,12 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # cluster-accuracy scoring (scipy.optimize), or by those in turn.
 HEAVY = ("scipy.stats", "scipy.optimize", "scipy.integrate",
          "scipy.interpolate", "scipy.ndimage", "scipy.fft")
+
+# Loaded only by the kd-tree route (scipy.spatial, which brings the other
+# two) and the Gaussian baseline (scipy.linalg).
+ROUTE_ONLY = ("scipy.spatial", "scipy.linalg", "scipy.sparse")
+
+LOADED = "print(' '.join(sorted(m for m in sys.modules if m.startswith('scipy.'))))"
 
 # The benchmark's call paths and the CLI's other subcommands, on tiny inputs.
 CALL_PATHS = textwrap.dedent("""
@@ -81,11 +95,100 @@ def _loaded_after(code: str) -> set[str]:
 
 
 def test_import_loads_no_heavy_scipy_module():
-    loaded = _loaded_after(
-        "import sys, divknn, divknn.cli, divknn.synth; "
-        "print(' '.join(m for m in sys.modules if m.startswith('scipy.')))")
-    assert {"scipy.special", "scipy.spatial"} <= loaded
-    assert not [m for m in loaded if m.startswith(HEAVY)]
+    loaded = _loaded_after("import sys, divknn, divknn.cli, divknn.synth; " + LOADED)
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded if m.startswith(HEAVY + ROUTE_ONLY)]
+
+
+def test_line_and_high_dimensional_estimates_load_no_route_module():
+    # 1-D data take the sorted line and d = 20 the screened brute force:
+    # neither builds a kd-tree or fits a Gaussian
+    code = textwrap.dedent("""
+        import sys, tempfile
+        from pathlib import Path
+        import numpy as np
+        from divknn import cli, dataset
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            assert cli.main(["synth", "--family", "ggrid", "--samples", "40",
+                             "--out", str(tmp / "d1")]) == 0
+            rng = np.random.Generator(np.random.Philox(0))
+            dataset.save_dataset(dataset.Dataset(tuple(
+                dataset.Group(f"g{i}", rng.normal(0.3 * i, 1.0, size=(40, 20)))
+                for i in range(6))), tmp / "d20")
+            for data in ("d1", "d20"):
+                for kind in ("renyi", "l2"):
+                    assert cli.main(["estimate", "--input", str(tmp / data), "--k", "3",
+                                     "--estimator", kind, "--out", str(tmp / "m.csv")]) == 0
+    """) + LOADED
+    loaded = _loaded_after(code)
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded if m.startswith(HEAVY + ROUTE_ONLY)]
+
+
+def test_two_pool_threads_import_the_kd_tree_at_once():
+    # the first two 2-D indexes are built by two pool threads released
+    # together, so both reach the deferred import of scipy.spatial at
+    # once; the matrix must be the one-thread matrix bit for bit
+    code = textwrap.dedent("""
+        import sys, threading
+        import numpy as np
+        from divknn import dataset, estimators, knn
+        assert "scipy.spatial" not in sys.modules
+        rng = np.random.Generator(np.random.Philox(0))
+        ds = dataset.Dataset(tuple(
+            dataset.Group(f"g{i}", rng.normal(0.5 * i, 1.0, size=(200, 2)))
+            for i in range(6)))
+        cfg = estimators.EstimatorConfig("renyi", alpha=0.5, k=5)
+        barrier = threading.Barrier(2, timeout=60)
+        first, real = [], knn.build_index
+
+        def build_index(points):
+            if len(first) < 2:
+                first.append(threading.get_ident())
+                barrier.wait()
+            return real(points)
+
+        knn.build_index = build_index
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = estimators.divergence_matrix(ds, cfg, workers=2).values
+        finally:
+            sys.setswitchinterval(interval)
+            knn.build_index = real
+        assert len(set(first)) == 2 and not barrier.broken
+        assert "scipy.spatial" in sys.modules
+        assert np.array_equal(threaded, estimators.divergence_matrix(ds, cfg, workers=1).values)
+    """) + LOADED
+    assert "scipy.spatial" in _loaded_after(code)
+
+
+def test_the_gaussian_baseline_loads_linalg_and_keeps_its_errors():
+    # the Cholesky solve imports scipy.linalg on first use; a mixture
+    # covariance that is not positive definite still raises ConfigError
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from divknn import baselines, dataset, estimators
+        from divknn.errors import ConfigError
+        assert "scipy.linalg" not in sys.modules
+        rng = np.random.Generator(np.random.Philox(0))
+        wide, narrow = (dataset.Dataset((dataset.Group(name, rng.normal(0.0, s, size=(50, 1))),))
+                        for name, s in (("wide", 1.0), ("narrow", 0.1)))
+        cfg = estimators.EstimatorConfig("renyi", alpha=1.5, k=3, symmetrize=False)
+        try:
+            baselines.baseline_cross_matrix(wide, narrow, cfg)
+        except ConfigError as exc:
+            assert "from group 'wide' to 'narrow'" in str(exc), exc
+            assert "not positive definite" in str(exc), exc
+        else:
+            raise AssertionError("no ConfigError")
+        assert "scipy.linalg" in sys.modules
+        ok = estimators.EstimatorConfig("renyi", alpha=0.5, k=3)
+        assert baselines.baseline_cross_matrix(wide, narrow, ok).shape == (1, 1)
+    """) + LOADED
+    assert "scipy.linalg" in _loaded_after(code)
 
 
 def test_call_paths_load_no_heavy_scipy_module():

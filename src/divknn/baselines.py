@@ -162,5 +162,5 @@ def baseline_cross_matrix(ds_from, ds_to, cfg) -> np.ndarray:
     def value(p, q, _):
         return gaussian_renyi(p, q, cfg.alpha) if cfg.kind == RENYI else gaussian_l2(p, q)
 
-    return _divergence_table(ds_from, ds_to, lambda g, workers: fit_gaussian(g.points), value,
+    return _divergence_table(ds_from, ds_to, lambda g, workers, row: fit_gaussian(g.points), value,
                              cfg.symmetrize, 1)

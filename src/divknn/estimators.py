@@ -10,20 +10,24 @@ each term asymptotically unbiased; no density estimate is ever formed.
 Every matrix, sample-based or Gaussian baseline, is a view of one
 directed table of estimates from row groups to column groups, paired by
 ``_divergence_table`` alone, whose errors name their group or pair;
-symmetrizing averages it with its reverse. A group in both datasets is
-never paired with itself and its cell is 0. The sample-based table is
-filled one column at a time: the column group's index answers a single
-nu_k query over the points of all its row groups, taken from one
-``knn.QueryBatch`` built per direction before any column, and the batch
-splits nu_k per pair in each group's point order. How the batch orders
-the queries (sorted on the line) is knn's concern alone.
+symmetrizing averages it with its reverse. A pair function's estimate
+is the one cell of the sample-based table from a copy of x, as group
+'x', to a copy of y, as group 'y', not symmetrized. A group in both
+datasets is never paired with itself and its cell is 0. The
+sample-based table is filled one column at a time: the column group's
+index answers a single nu_k query over the points of all its row
+groups, taken from one ``knn.QueryBatch`` built per direction before
+any column, and the batch splits nu_k per pair in each group's point
+order. How the batch orders the queries (sorted on the line) is knn's
+concern alone.
 
 All estimation functions are pure given immutable inputs. The optional
-``workers`` argument never changes any value. The pair functions pass
-it to the neighbor queries. A matrix build maps its group preparations
-and its columns over ``workers`` threads on every route (sorted line,
-kd-tree and brute force); each query in a thread then runs on one
-thread.
+``workers`` argument, -1 (every CPU) or a positive thread count, never
+changes any value. A build maps its group preparations and its columns
+over ``workers`` threads on every route (sorted line, kd-tree and brute
+force); each query in a thread then runs on one thread. A build with
+one group a side, as a pair's, has nothing to spread and passes
+``workers`` to its neighbor queries.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ from .errors import (
     ContractError,
     DegenerateDistanceError,
     DivknnError,
-    InsufficientSampleError,
     NonFiniteEstimateError,
 )
 
@@ -164,32 +167,6 @@ def _screen_rho(rho: np.ndarray) -> None:
         )
 
 
-def _pair_statistics(x, y, k: int, workers: int):
-    """(rho_k, nu_k, n, m, d) for samples x (n x d) and y (m x d), validated.
-
-    rho_k is screened for zero within-sample distances.
-    """
-    xa = knn._as_points(x, "x")
-    ya = knn._as_points(y, "y")
-    if xa.shape[1] != ya.shape[1]:
-        raise ContractError(f"sample dimensions differ: {xa.shape[1]} vs {ya.shape[1]}")
-    (n, d), m = xa.shape, ya.shape[0]
-    if k > n - 1:
-        raise InsufficientSampleError(
-            f"estimator with k={k} needs at least {k + 1} points in x, got {n}"
-        )
-    if k > m:
-        raise InsufficientSampleError(
-            f"estimator with k={k} needs at least {k} points in y, got {m}"
-        )
-    index_x = knn.build_index(xa)
-    index_y = knn.build_index(ya)
-    rho = knn.kth_nn_within(index_x, k, workers=workers)
-    _screen_rho(rho)
-    nu = knn.kth_nn_cross(xa, index_y, k, workers=workers)
-    return rho, nu, n, m, d
-
-
 # ---------------------------------------------------------------------------
 # Renyi-alpha family.
 
@@ -223,8 +200,8 @@ def alpha_integral(x, y, k: int, alpha: float, *, workers: int = 1) -> float:
     if alpha == 1.0:
         raise ConfigError("alpha must differ from 1")
     b = correction_factor(k, alpha)  # validates k > |alpha - 1|
-    rho, nu, n, m, d = _pair_statistics(x, y, k, workers)
-    return _integral_estimate(np.log(rho), nu, n, m, d, alpha, b)
+    return _pair_value(x, y, k, workers, lambda rho, log_rho, nu, n, m, d:
+                       _integral_estimate(log_rho, nu, n, m, d, alpha, b))
 
 
 def renyi_divergence(x, y, k: int, alpha: float, *, workers: int = 1) -> float:
@@ -304,8 +281,8 @@ def l2_squared(x, y, k: int, *, workers: int = 1) -> float:
     """
     if k < 3:
         raise ConfigError(f"l2 estimator requires k >= 3 (k - 2 > 0), got k={k}")
-    rho, nu, n, m, d = _pair_statistics(x, y, k, workers)
-    return _l2_squared_estimate(rho, nu, n, m, d, k)
+    return _pair_value(x, y, k, workers, lambda rho, log_rho, nu, n, m, d:
+                       _l2_squared_estimate(rho, nu, n, m, d, k))
 
 
 def l2_divergence(x, y, k: int, *, workers: int = 1) -> float:
@@ -347,17 +324,19 @@ def _divergence_table(ds_from: "Dataset", ds_to: "Dataset", prepare, value,
     """Directed divergences from ds_from's groups to ds_to's, symmetrized on request.
 
     The only code that pairs groups. A route supplies ``prepare(group,
-    workers)``, a group's item (index and rho_k, or a fit), and
+    workers, row)``, a group's item (index and rho_k, or a fit), and
     ``value(row, col, statistic)``, the directed value from a row item to
-    a column item. Each direction's row items are gathered once by
-    ``gather(rows)``, before any column, and ``column(gathered, skip,
-    col, workers)`` gives the statistic of each row item but the one
-    numbered skip (None for none) to col, in row order, or a DivknnError
-    in its place; by default every statistic is None. ds_from's groups
-    are prepared first. A group of ds_to with the id and bitwise-equal
-    points of a group of ds_from is that group: prepared once, never
-    paired with itself, its cell 0. The reverse table is the transpose
-    when each column is the row at its position, and is built otherwise.
+    a column item; row is False for a group that is only ever a column
+    (of ds_to, not ds_from's, in a build that is not symmetric). Each
+    direction's row items are gathered once by ``gather(rows)``, before
+    any column, and ``column(gathered, skip, col, workers)`` gives the
+    statistic of each row item but the one numbered skip (None for none)
+    to col, in row order, or a DivknnError in its place; by default every
+    statistic is None. ds_from's groups are prepared first. A group of
+    ds_to with the id and bitwise-equal points of a group of ds_from is
+    that group: prepared once, never paired with itself, its cell 0. The
+    reverse table is the transpose when each column is the row at its
+    position, and is built otherwise.
 
     A route's DivknnError keeps its type and gains the names of its
     groups: a preparation's raises as ``group '<id>': ...``. A pair's
@@ -387,9 +366,9 @@ def _divergence_table(ds_from: "Dataset", ds_to: "Dataset", prepare, value,
             context = contextvars.copy_context()
             return list(pool.map(lambda *a: context.copy().run(fn, *a), *args, repeat(1)))
 
-        def prepared(g, w):
+        def prepared(g, w, row=True):
             try:
-                return prepare(g, w)
+                return prepare(g, w, row)
             except DivknnError as exc:
                 raise type(exc)(f"group '{g.id}': {exc}") from None
 
@@ -401,7 +380,7 @@ def _divergence_table(ds_from: "Dataset", ds_to: "Dataset", prepare, value,
             bits, item = shared.get(g.id, (None, None))
             if bits is not None and np.array_equal(bits, g.points.view(np.uint64)):
                 return item
-            return prepared(g, w)
+            return prepared(g, w, symmetric)
 
         to_items = run(to_item, ds_to.groups)
 
@@ -443,26 +422,28 @@ def _divergence_table(ds_from: "Dataset", ds_to: "Dataset", prepare, value,
         return symmetrize(table, back.T)
 
 
-def _sample_table(ds_from: "Dataset", ds_to: "Dataset", cfg: EstimatorConfig,
-                  workers: int) -> np.ndarray:
-    """The table of sample-based divergences from ds_from's groups to ds_to's.
+def _sample_table(ds_from: "Dataset", ds_to: "Dataset", k: int, reduce,
+                  symmetric: bool, workers: int) -> np.ndarray:
+    """The table of sample-based estimates from ds_from's groups to ds_to's.
 
-    A group's item is its index, rho_k and log rho_k. Each direction
-    gathers its row groups' indexes into one ``knn.QueryBatch``; on d = 1
-    that sorts all their points once. Each column group answers one nu_k
-    query over the batch less its own group, and each pair reduces its
-    own slice of nu_k, back in its group's point order, as cfg asks. The
-    batch holds at most one sorted copy of the dataset's points (on
-    d = 1) per direction. A column's queries and nu_k are a copy of at
-    most the whole dataset's points, one column per thread at a time; on
-    d = 1 they are made in the thread's knn workspace, which the thread
-    keeps for its next column and build.
+    A group's item is its index, rho_k and log rho_k, or its index alone
+    if it is only ever a column: it may then hold just k points, and
+    duplicates that no query meets. Each direction gathers its row
+    groups' indexes into one ``knn.QueryBatch``; on d = 1 that sorts all
+    their points once. Each column group answers one nu_k query over the
+    batch less its own group, and each pair reduces its own slice of
+    nu_k, back in its group's point order, to ``reduce(rho, log_rho, nu,
+    n, m, d)``. The batch holds at most one sorted copy of the dataset's
+    points (on d = 1) per direction. A column's queries and nu_k are a
+    copy of at most the whole dataset's points, one column per thread at
+    a time; on d = 1 they are made in the thread's knn workspace, which
+    the thread keeps for its next column and build.
     """
-    k = cfg.k
-    b = correction_factor(k, cfg.alpha) if cfg.kind == RENYI else math.nan
 
-    def prepare(g, workers):
+    def prepare(g, workers, row):
         index = knn.build_index(g.points)
+        if not row:
+            return index, None, None
         rho = knn.kth_nn_within(index, k, workers=workers)
         _screen_rho(rho)
         return index, rho, np.log(rho)
@@ -476,26 +457,32 @@ def _sample_table(ds_from: "Dataset", ds_to: "Dataset", cfg: EstimatorConfig,
 
         The groups query together, from the direction's batch (sorted on
         the line, into the thread's workspace, which ``fill`` reduces
-        before the thread's next column). After a DegenerateDistanceError
-        every group queries again on its own, with its points in their
-        order, so that the error names the point as it is numbered in its
-        group.
+        before the thread's next column). After any DivknnError every
+        group queries again on its own, with its points in their order,
+        so that each pair's error is its own and names the point as it
+        is numbered in its group.
         """
         try:
             return batch.kth_nn_cross(skip, col[0], k, workers)
-        except DegenerateDistanceError:
+        except DivknnError:
             return [_capture(knn.kth_nn_cross, points, col[0], k, workers=workers)
                     for g, points in enumerate(batch.groups) if g != skip]
 
     def value(row, col, nu):
         (_, rho, log_rho), (index_to, _, _) = row, col
-        n, m, d = rho.shape[0], index_to.size, index_to.dim
-        if cfg.kind == RENYI:
-            return math.log(_integral_estimate(log_rho, nu, n, m, d, cfg.alpha, b)) / (cfg.alpha - 1.0)
-        return math.sqrt(max(0.0, _l2_squared_estimate(rho, nu, n, m, d, k)))
+        return reduce(rho, log_rho, nu, rho.shape[0], index_to.size, index_to.dim)
 
-    return _divergence_table(ds_from, ds_to, prepare, value, cfg.symmetrize, workers,
+    return _divergence_table(ds_from, ds_to, prepare, value, symmetric, workers,
                              gather, column)
+
+
+def _pair_value(x, y, k: int, workers, reduce) -> float:
+    """The one cell of the sample table from x to y, as one-group datasets
+    'x' and 'y' and not symmetrized."""
+    from .dataset import Dataset, Group  # dataset imports this module
+
+    return float(_sample_table(Dataset((Group("x", x),)), Dataset((Group("y", y),)),
+                               k, reduce, False, workers)[0, 0])
 
 
 def divergence_matrix(ds: "Dataset", cfg: EstimatorConfig, *, workers: int = 1) -> DivergenceMatrix:
@@ -508,7 +495,7 @@ def divergence_matrix(ds: "Dataset", cfg: EstimatorConfig, *, workers: int = 1) 
     columns are spread over that many threads on every neighbor route,
     never more threads than groups.
     """
-    return DivergenceMatrix(ds.ids, _sample_table(ds, ds, cfg, workers), cfg)
+    return DivergenceMatrix(ds.ids, cross_divergence_matrix(ds, ds, cfg, workers=workers), cfg)
 
 
 def cross_divergence_matrix(ds_from: "Dataset", ds_to: "Dataset",
@@ -520,9 +507,20 @@ def cross_divergence_matrix(ds_from: "Dataset", ds_to: "Dataset",
     directed estimates. A group of ds_to with the id and bitwise-equal
     points of a group of ds_from is that group: prepared once, its cell
     exactly 0, so cross_divergence_matrix(ds, ds) is the divergence
-    matrix of ds. A reused id with other points is another group. Feeds
+    matrix of ds. A reused id with other points is another group.
+    Without cfg.symmetrize, a group of ds_to that is not ds_from's is
+    only a column and is only indexed: it needs k points, not k + 1, and
+    its duplicate points fail only where a query meets them. Feeds
     the anomaly-scoring and classification tasks, where rows are query
     groups and columns reference groups. ``workers`` threads the build
     as in divergence_matrix.
     """
-    return _sample_table(ds_from, ds_to, cfg, workers)
+    k, alpha = cfg.k, cfg.alpha
+    b = correction_factor(k, alpha) if cfg.kind == RENYI else math.nan
+
+    def divergence(rho, log_rho, nu, n, m, d):
+        if cfg.kind == RENYI:
+            return math.log(_integral_estimate(log_rho, nu, n, m, d, alpha, b)) / (alpha - 1.0)
+        return math.sqrt(max(0.0, _l2_squared_estimate(rho, nu, n, m, d, k)))
+
+    return _sample_table(ds_from, ds_to, k, divergence, cfg.symmetrize, workers)

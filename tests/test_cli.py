@@ -281,6 +281,26 @@ def test_anomaly_dedup_rescues_duplicates(tmp_path):
     assert run(*argv, "--dedup") == 0
 
 
+def test_unsymmetrized_anomaly_takes_a_train_group_of_k_points(tmp_path, capsys):
+    # not symmetrized, a train group is only ever a reference: it needs
+    # k points for nu_k, not the k + 1 of a rho_k
+    rng = np.random.Generator(np.random.Philox(7))
+    train = dsm.Dataset((dsm.Group("big", rng.normal(size=(30, 2))),
+                         dsm.Group("small", rng.normal(size=(5, 2)))))
+    test = dsm.Dataset(tuple(dsm.Group(f"t{i}", rng.normal(0.5 * i, 1.0, size=(30, 2)))
+                             for i in range(3)))
+    argv = _anomaly_split(tmp_path, train, test)
+    argv[argv.index("--k") + 1] = "5"
+    assert run(*argv, "--symmetrize", "false") == 0
+    with open(tmp_path / "s.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [r[0] for r in rows] == ["id", "t0", "t1", "t2"]
+    capsys.readouterr()
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == (
+        "error: group 'small': within-sample k-NN with k=5 needs at least 6 points, got 5\n")
+
+
 def test_flat_matrix_cluster_exits_2(tmp_path):
     n = 9
     ids = [f"g{i}" for i in range(n)]

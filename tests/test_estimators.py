@@ -45,6 +45,28 @@ def _pair(seed, n=400, m=400, d=1, shift=1.0):
     return x, y
 
 
+def _rho_nu(x, y, k):
+    """rho_k of x and nu_k of x against y, queried on the raw, unsorted points."""
+    return (knn.kth_nn_within(knn.build_index(x), k),
+            knn.kth_nn_cross(x, knn.build_index(y), k))
+
+
+def _reference_pair(name, x, y, k, alpha=None):
+    """What the pair function ``name`` estimates from x to y, computed
+    apart from any divergence table: rho_k screened for zeros, nu_k, and
+    the estimator's reduction of the two."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    rho, nu = _rho_nu(x, y, k)
+    est._screen_rho(rho)
+    (n, d), m = x.shape, y.shape[0]
+    if name in ("alpha_integral", "renyi_divergence"):
+        value = est._integral_estimate(np.log(rho), nu, n, m, d, alpha,
+                                       est.correction_factor(k, alpha))
+        return value if name == "alpha_integral" else math.log(value) / (alpha - 1.0)
+    value = est._l2_squared_estimate(rho, nu, n, m, d, k)
+    return value if name == "l2_squared" else math.sqrt(max(0.0, value))
+
+
 # ---------------------------------------------------------------------------
 # Correction factor.
 
@@ -164,6 +186,55 @@ def test_l2_hand_case_identical_spacing():
         est.l2_squared([[0.0], [2.0], [4.0]], [[1.0], [3.0]], k=2)
 
 
+_PAIR_FUNCTIONS = ("alpha_integral", "renyi_divergence", "l2_squared", "l2_divergence")
+
+
+def _call_pair(name, x, y, k, alpha, workers=1):
+    """The pair function ``name`` from x to y; the L2 ones take no alpha."""
+    args = (k, alpha) if name in ("alpha_integral", "renyi_divergence") else (k,)
+    return getattr(est, name)(x, y, *args, workers=workers)
+
+
+@st.composite
+def _pair_cases(draw):
+    """(function name, x, y, k, alpha, workers): Gaussian samples in
+    d in [1, 40], at the smallest sizes the function takes or larger,
+    rounded to 1 decimal or not, with some of x's points copied into y."""
+    name = draw(st.sampled_from(_PAIR_FUNCTIONS))
+    k = draw(st.integers(3 if name.startswith("l2") else 1, 6))
+    d = draw(st.one_of(st.just(1), st.integers(1, 40)))  # the sorted line half the time
+    if draw(st.booleans()):
+        n, m = k + 1, k
+    else:
+        n, m = draw(st.integers(k + 1, 40)), draw(st.integers(k, 40))
+    rng = _rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, d))
+    y = rng.normal(draw(st.floats(0.0, 2.0)), 1.0, size=(m, d))
+    if draw(st.booleans()):
+        x, y = np.round(x, 1), np.round(y, 1)
+    shared = draw(st.integers(0, m))
+    y[:shared] = x[rng.integers(0, n, size=shared)]
+    return (name, x, y, k, draw(st.sampled_from([0.25, 0.5, 0.8, 1.5])),
+            draw(st.sampled_from([1, 2])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_pair_cases())
+def test_pair_functions_are_bitwise_the_reference(case):
+    # each pair function gives the reference's bits, or raises the
+    # reference's error type
+    name, x, y, k, alpha, workers = case
+    try:
+        want = _reference_pair(name, x, y, k, alpha)
+    except (DegenerateDistanceError, InsufficientSampleError, NonFiniteEstimateError) as exc:
+        with pytest.raises(type(exc)) as info:
+            _call_pair(name, x, y, k, alpha, workers)
+        assert type(info.value) is type(exc)
+        return
+    got = _call_pair(name, x, y, k, alpha, workers)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Invariances.
 
@@ -208,7 +279,7 @@ def test_renyi_is_invariant_under_power_of_two_scaling(seed, d, j, k, alpha, shi
     eps = np.finfo(np.float64).eps
     logs = [np.abs(np.log(v)).max()
             for xs, ys in ((x, y), (s * x, s * y))
-            for v in est._pair_statistics(xs, ys, k, 1)[:2]]
+            for v in _rho_nu(xs, ys, k)]
     tol = 8 * eps * (d * max(logs) + (math.log2(len(x)) + 4) / abs(alpha - 1.0))
     a = est.renyi_divergence(x, y, k, alpha)
     b = est.renyi_divergence(s * x, s * y, k, alpha)
@@ -338,7 +409,7 @@ def test_l2_estimate_scales_exactly_where_its_powers_turn_subnormal(d, exponent)
     # subnormal too.
     rng = _rng(5)
     x, y = rng.normal(size=(300, d)), rng.normal(0.5, 1.0, size=(300, d))
-    rho, nu = est._pair_statistics(x, y, 5, 1)[:2]
+    rho, nu = _rho_nu(x, y, 5)
     base = est._l2_squared_estimate(rho, nu, 300, 300, d, 5)
     j = (math.frexp(base)[1] - exponent) // d
     got = est._l2_squared_estimate(np.ldexp(rho, j), np.ldexp(nu, j), 300, 300, d, 5)
@@ -459,9 +530,9 @@ def test_divergence_matrix_validation():
 
 
 def _pair_estimate(cfg):
-    if cfg.kind == "renyi":
-        return lambda x, y: est.renyi_divergence(x, y, cfg.k, cfg.alpha)
-    return lambda x, y: est.l2_divergence(x, y, cfg.k)
+    """The reference directed value of cfg's matrices, from x to y."""
+    name = "renyi_divergence" if cfg.kind == "renyi" else "l2_divergence"
+    return lambda x, y: _reference_pair(name, x, y, cfg.k, cfg.alpha)
 
 
 @pytest.mark.parametrize("cfg", [est.EstimatorConfig("renyi", 0.5, 5),
@@ -721,6 +792,64 @@ def test_cross_builders_reject_mismatched_dimensions(build):
         build(one, two, est.EstimatorConfig("renyi", 0.5, 5))
 
 
+def _column_only_case(d):
+    """Row groups r0 and r1 and reference groups for k = 5 in dimension d:
+    'exact' of 5 points, 'dup', whose six copies of one point (a zero
+    rho_5) lie far from every row point, and 'few' of 4 points; and
+    exact's third point."""
+    rng = _rng(150 + d)
+    rows = [rng.normal(0.3 * i, 1.0, size=(30, d)) for i in range(2)]
+    exact = rng.normal(size=(5, d))
+    dup = np.concatenate([rng.normal(size=(20, d)), np.full((6, d), 50.0)])
+    return ({"r0": rows[0], "r1": rows[1]},
+            {"exact": exact, "dup": dup, "few": rng.normal(size=(4, d))}, exact[2])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("cfg", [est.EstimatorConfig("renyi", 0.5, 5, symmetrize=False),
+                                 est.EstimatorConfig("l2", k=5, symmetrize=False)])
+@pytest.mark.parametrize("d", [1, 2, 20])  # sorted line, kd-tree, screened brute force
+def test_column_only_groups_are_only_indexed(d, cfg, workers):
+    # a reference group of a non-symmetrized cross matrix is never a row,
+    # so it needs no rho_k: k points and duplicates no query meets are
+    # enough, as they are for a pair function's y
+    rows, refs, _ = _column_only_case(d)
+    ds_from = Dataset(tuple(Group(g, p) for g, p in rows.items()))
+    ds_to = Dataset((Group("exact", refs["exact"]), Group("dup", refs["dup"])))
+    w = est.cross_divergence_matrix(ds_from, ds_to, cfg, workers=workers)
+    _assert_pair_values(w, ds_from, ds_to, _pair_estimate(cfg), cfg)
+    # symmetrized, each is a row too and needs its rho_k
+    sym = est.EstimatorConfig(cfg.kind, cfg.alpha, cfg.k)
+    for ref, error, message in (
+            ("exact", InsufficientSampleError,
+             "group 'exact': within-sample k-NN with k=5 needs at least 6 points, got 5"),
+            ("dup", DegenerateDistanceError, "group 'dup': point 20 has a zero within-sample")):
+        with pytest.raises(error, match=message):
+            est.cross_divergence_matrix(ds_from, Dataset((Group(ref, refs[ref]),)), sym,
+                                        workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 20])
+def test_column_only_query_errors_name_their_pair(d, workers):
+    # a reference group of fewer than k points, or of exactly k points one
+    # of which is a row point, fails every query against it or that one,
+    # and the error names the pair and the query point in its group
+    rows, refs, shared = _column_only_case(d)
+    rows["r1"][7] = shared
+    ds_from = Dataset(tuple(Group(g, p) for g, p in rows.items()))
+    cfg = est.EstimatorConfig("renyi", 0.5, 5, symmetrize=False)
+    for ref, message in (
+            ("few", "from group 'r0' to 'few': cross-sample k-NN with k=5 needs at least "
+                    "5 indexed points, got 4"),
+            ("exact", "from group 'r1' to 'exact': query point 7 coincides with an indexed "
+                      "point; k=5 then needs at least 6 indexed points, got 5")):
+        with pytest.raises(InsufficientSampleError) as info:
+            est.cross_divergence_matrix(ds_from, Dataset((Group(ref, refs[ref]),)), cfg,
+                                        workers=workers)
+        assert str(info.value) == message
+
+
 @pytest.mark.parametrize("build", [est.divergence_matrix, baselines.baseline_matrix])
 @pytest.mark.parametrize("cfg", [est.EstimatorConfig("renyi", 0.5, 5),
                                  est.EstimatorConfig("l2", k=5, symmetrize=False)])
@@ -910,10 +1039,17 @@ def test_queries_in_the_pool_run_on_one_thread(monkeypatch):
     assert seen == [-1] * 4
 
 
+def _pair_build(name):
+    """The pair function ``name`` from the first group of ds to its second."""
+    return lambda ds, cfg, workers: _call_pair(name, ds.groups[0].points, ds.groups[1].points,
+                                               cfg.k, cfg.alpha, workers)
+
+
 @pytest.mark.parametrize("workers", [0, -2, 1.5, None, "2"])
 @pytest.mark.parametrize("build", [est.divergence_matrix,
                                    lambda ds, cfg, workers: est.cross_divergence_matrix(
-                                       ds, ds, cfg, workers=workers)])
+                                       ds, ds, cfg, workers=workers)]
+                         + [pytest.param(_pair_build(name), id=name) for name in _PAIR_FUNCTIONS])
 def test_bad_workers_rejected_before_any_preparation(monkeypatch, build, workers):
     calls = []
     monkeypatch.setattr(knn, "build_index", lambda points: calls.append(1))

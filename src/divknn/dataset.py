@@ -58,7 +58,22 @@ class Group:
     label: str | None = None
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=np.float64, order="C")
+        self._freeze(np.array(self.points, dtype=np.float64, order="C"))
+
+    @classmethod
+    def _over(cls, gid: str, points) -> "Group":
+        """A group over a read-only view of ``points``, copied only where
+        they are not float64 and C-ordered, for a call that drops it
+        before it returns (a pair estimate): unlike a constructed group,
+        it changes if the caller changes ``points``."""
+        group = object.__new__(cls)
+        object.__setattr__(group, "id", gid)
+        object.__setattr__(group, "label", None)
+        group._freeze(np.asarray(points, dtype=np.float64, order="C").view())
+        return group
+
+    def _freeze(self, pts: np.ndarray) -> None:
+        """Check pts and make them, read-only, the group's points."""
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError(
                 f"group '{self.id}': points must be a nonempty 2-D array, "

@@ -478,10 +478,11 @@ def _sample_table(ds_from: "Dataset", ds_to: "Dataset", k: int, reduce,
 
 def _pair_value(x, y, k: int, workers, reduce) -> float:
     """The one cell of the sample table from x to y, as one-group datasets
-    'x' and 'y' and not symmetrized."""
+    'x' and 'y' and not symmetrized. The groups view x and y, which the
+    call holds no copy of where they are float64 and C-ordered."""
     from .dataset import Dataset, Group  # dataset imports this module
 
-    return float(_sample_table(Dataset((Group("x", x),)), Dataset((Group("y", y),)),
+    return float(_sample_table(Dataset((Group._over("x", x),)), Dataset((Group._over("y", y),)),
                                k, reduce, False, workers)[0, 0])
 
 

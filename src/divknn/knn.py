@@ -51,21 +51,30 @@ the brute-force route sorts a row's candidates and keeps those columns.
 
 The sorted-line and brute-force routes work through their queries in
 blocks of rows whose temporaries stay within one byte budget,
-``_BLOCK_BYTES``. The budget is small on purpose: glibc serves large
+``_BLOCK_BYTES``, 1 MiB. It is small because glibc serves large
 allocations with fresh ``mmap`` pages, and every page of such a
-temporary faults when it is first written; blocks of a few hundred KiB
-are reused from the heap. Column-sized arrays freed after each column
-did the same on a larger scale: glibc trimmed the top of its heap after
-a column and grew it again in the next, about 9,000 minor page faults
-for a divergence matrix of 25 one-dimensional groups of 2000 points, in
-some processes and not in others at the same code. So a 1-D column of a
-matrix build works in its thread's ``_Workspace``, kept from column to
-column and build to build, and allocates no array of its size but its
-row numbers and masks. With it, a warm one-thread build of that matrix
-took 0 or 160 faults with 256 KiB blocks, 242-422 with 1 MiB blocks and
-8,575 with 4 MiB blocks, and none of the three was measurably faster
-(glibc 2.36, five processes each); so ``_BLOCK_BYTES`` stays 256 KiB.
-The budget holds per query: threads that query at the same time, as a
+temporary faults when it is first written, while blocks of a few
+hundred KiB to a MiB are reused from the heap. Column-sized arrays
+freed after each column did the same on a larger scale: glibc trimmed
+the top of its heap after a column and grew it again in the next, about
+9,000 minor page faults for a divergence matrix of 25 one-dimensional
+groups of 2000 points, in some processes and not in others at the same
+code. So a 1-D column of a matrix build works in its thread's
+``_Workspace``, kept from column to column and build to build, and
+allocates no array of its size but its row numbers and masks. The
+budget is not smaller because each block costs a dozen or so numpy
+calls, and threads that run many small blocks wait on the
+interpreter's lock instead of running array loops: with 256 KiB
+blocks, the Renyi matrix of 100 one-dimensional groups of 2000 points
+took longer on two threads than on one (1.53 s against 1.17 s). With
+1 MiB blocks it took 0.93 s on two threads and 1.06 s on one, and the
+d = 20 screen's matrix of 10 groups of 400 points 0.25 s in place of
+0.33 s. The 25-group matrix then took about 240 faults a warm build
+where it took 0, and 15,000 in its first build where it took 1,000, in
+no more time (2-core Xeon, glibc 2.36, ten processes each). On the
+d = 20 matrix, 512 KiB blocks gained about half as much, and 2 MiB
+blocks raised the process's peak RSS by 4.5-6% (three runs each). The
+budget holds per query: threads that query at the same time, as a
 threaded divergence matrix does, hold up to threads x ``_BLOCK_BYTES``
 of temporaries, and each such thread its workspace.
 
@@ -95,8 +104,9 @@ LEAF_SIZE = 16
 
 # Byte budget for the temporaries of one block of query rows on the
 # sorted-line and brute-force routes; the rows per block follow from
-# each route's temporary per row.
-_BLOCK_BYTES = 256 * 2**10
+# each route's temporary per row. 1 MiB is the measured best between
+# page faults, memory and per-block overhead (module docstring).
+_BLOCK_BYTES = 2**20
 
 # Candidates the d > 15 screen keeps beyond the largest rank asked for.
 _SCREEN_EXTRA = 8
@@ -182,14 +192,11 @@ class NeighborIndex:
 
 
 def _in_blocks(n: int, row_bytes: int, ncols: int, block,
-               max_rows: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+               out: np.ndarray | None = None) -> np.ndarray:
     """The n x ncols table filled by ``block(rows)``, in ``out`` if given,
     one slice of rows at a time: as many as keep row_bytes per row within
-    _BLOCK_BYTES, at most max_rows if given, and at least one."""
-    step = _BLOCK_BYTES // row_bytes
-    if max_rows is not None:
-        step = min(step, max_rows)
-    step = max(1, step)
+    _BLOCK_BYTES, and at least one."""
+    step = max(1, _BLOCK_BYTES // row_bytes)
     if out is None:
         out = np.empty((n, ncols))
     for start in range(0, n, step):
@@ -354,16 +361,21 @@ def _screened_rank_distances(queries: np.ndarray, points: np.ndarray, screen: _S
 
     A block's row holds its centered query twice (d values each), N
     screen values and N partition indices, then its candidates: an index
-    and d + 2 values each. A block also has fewer than
-    _ONE_THREAD_PRODUCT / (N d) rows, at least one, so that OpenBLAS
-    runs its product on one thread: a threaded product waits for a
-    second core, and its time swings with the load on the cores. On 2
-    shared cores, a 7 x 64 by 64 x 2000 product took up to 8 ms threaded
-    and 0.15 ms on one thread, and 40 products of a whole column of
-    queries (3600 x 20 by 20 x 400) took 0.04-0.34 s threaded and
-    0.07-0.09 s on one thread. A matrix build already threads over its
-    columns. A single row against N d >= _ONE_THREAD_PRODUCT is a
-    matrix-vector product, which OpenBLAS may still thread.
+    and d + 2 values each. The block fills its screen values with matrix
+    products of fewer than _ONE_THREAD_PRODUCT / (N d) query rows each,
+    at least one, so that OpenBLAS runs each product on one thread: a
+    threaded product waits for a second core, and its time swings with
+    the load on the cores. On 2 shared cores, a 7 x 64 by 64 x 2000
+    product took up to 8 ms threaded and 0.15 ms on one thread, and 40
+    products of a whole column of queries (3600 x 20 by 20 x 400) took
+    0.04-0.34 s threaded and 0.07-0.09 s on one thread. A matrix build
+    already threads over its columns. Only the products are cut this
+    fine; the partition, the recompute and the certificate run once per
+    block. With 400 points at d = 20, a block of 156 rows takes three
+    products of up to 65 rows; when each block was a single product, of
+    39 rows, a matrix of 10 such groups took 0.33 s in place of 0.25 s.
+    A single row against N d >= _ONE_THREAD_PRODUCT is a matrix-vector
+    product, which OpenBLAS may still thread.
     """
     n, d = points.shape
     kq, cols = ranks[-1], np.subtract(ranks, 1)
@@ -374,6 +386,7 @@ def _screened_rank_distances(queries: np.ndarray, points: np.ndarray, screen: _S
     with np.errstate(over="ignore", invalid="ignore"):
         margin0 = scale * screen.norms.max() + (4 * d + 16) * np.finfo(np.float64).tiny
     exact = np.empty(queries.shape[0], dtype=bool)
+    product_rows = max(1, (_ONE_THREAD_PRODUCT - 1) // (n * d))
 
     def block(rows):
         qb = queries[rows]
@@ -381,7 +394,10 @@ def _screened_rank_distances(queries: np.ndarray, points: np.ndarray, screen: _S
         # margin is then infinite or NaN and the row falls back
         with np.errstate(over="ignore", invalid="ignore"):
             qc = qb - screen.center
-            s = (-2.0 * qc) @ screen.centered.T
+            s = np.empty((len(qb), n))
+            for a in range(0, len(qb), product_rows):
+                sub = slice(a, a + product_rows)
+                np.matmul(-2.0 * qc[sub], screen.centered.T, out=s[sub])
             s += screen.norms
             part = np.argpartition(s, c, axis=1)
             q2 = np.einsum("ij,ij->i", qc, qc)
@@ -393,8 +409,7 @@ def _screened_rank_distances(queries: np.ndarray, points: np.ndarray, screen: _S
         d2, exact[rows] = _certified_candidates(qb, points, cand, boundary, margin, kq)
         return np.sqrt(d2[:, cols])
 
-    out = _in_blocks(queries.shape[0], max(2 * (n + d), (d + 3) * c) * 8, len(ranks), block,
-                     (_ONE_THREAD_PRODUCT - 1) // (n * d))
+    out = _in_blocks(queries.shape[0], max(2 * (n + d), (d + 3) * c) * 8, len(ranks), block)
     redo = np.flatnonzero(~exact)
     if redo.size:
         out[redo] = _brute_rank_distances(queries[redo], points, ranks)

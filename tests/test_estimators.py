@@ -235,6 +235,24 @@ def test_pair_functions_are_bitwise_the_reference(case):
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
+@pytest.mark.parametrize("d", [1, 2, 20])
+def test_pair_functions_index_the_callers_samples(monkeypatch, d):
+    # a pair call views float64, C-ordered x and y and holds no copy of
+    # them, nor makes the caller's arrays read-only; other inputs are
+    # converted, and then give the same bits
+    indexed, build = [], knn.build_index
+    monkeypatch.setattr(knn, "build_index", lambda pts: indexed.append(pts) or build(pts))
+    rng = _rng(23)
+    x, y = rng.normal(size=(200, d)), rng.normal(0.5, 1.0, size=(150, d))
+    want = est.l2_squared(x, y, 5)
+    assert [np.shares_memory(a, b) for a, b in zip(indexed, (x, y))] == [True, True]
+    assert x.flags.writeable and y.flags.writeable
+    x32, y32 = x.astype(np.float32), y.astype(np.float32)
+    assert est.l2_squared(x32, y32.tolist(), 5) == est.l2_squared(
+        x32.astype(np.float64), y32.astype(np.float64), 5)
+    assert est.l2_squared(x, y, 5) == want
+
+
 # ---------------------------------------------------------------------------
 # Invariances.
 

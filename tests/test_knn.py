@@ -676,6 +676,36 @@ def test_threaded_matrix_memory_stays_within_twice_the_budget(monkeypatch):
         assert peak <= 2 * 4 * budget
 
 
+def test_block_size_never_changes_a_matrix(monkeypatch):
+    # Rows are answered independently of the block they fall in, on the
+    # line, the d > 15 screen and the oracle its uncertified rows fall
+    # back to. So Renyi and L2 matrices keep their bits from one query row
+    # a block to a single block, at any worker count. The d = 1 columns
+    # span two blocks at 256 KiB and the d > 15 ones three or more at
+    # 1 MiB. The lattice points tie at the 5th neighbour, and some of
+    # their rows fall back
+    rng = _rng(17)
+    datasets = {
+        1: [rng.normal(0.1 * i, 1.0, size=(2500, 1)) for i in range(3)],
+        20: [rng.normal(0.1 * i, 1.0, size=(300, 20)) for i in range(3)],
+        40: [rng.normal(0.1 * i, 1.0, size=(300, 40)) for i in range(3)],
+        "tied": [rng.integers(0, 3, size=(300, 20)).astype(float) for _ in range(3)],
+    }
+    fell = _count_rows(monkeypatch, "_brute_rank_distances")
+    for name, groups in datasets.items():
+        ds = Dataset(tuple(Group(f"g{i}", pts) for i, pts in enumerate(groups)))
+        for kind in ("renyi", "l2"):
+            cfg = estimators.EstimatorConfig(kind, 0.5, 5)
+            matrices = []
+            for budget in (1, 2**18, 2**20, 2**40):
+                monkeypatch.setattr(knn, "_BLOCK_BYTES", budget)
+                matrices += [estimators.divergence_matrix(ds, cfg, workers=w).values.tobytes()
+                             for w in (1, 2)]
+            assert len(set(matrices)) == 1, (name, kind)
+        assert (fell[0] > 0) == (name == "tied"), name
+        fell[0] = 0
+
+
 def test_one_group_and_pooled_batches_share_a_workspace():
     # a matrix whose row side is one group queries from the index's own
     # line and order; its permutation type matches a pooled batch's, so a
@@ -788,21 +818,33 @@ def test_screen_overflow_falls_back_without_warnings(monkeypatch):
 
 def test_screen_products_stay_on_one_blas_thread(monkeypatch):
     # OpenBLAS threads a product of 2**19 multiply-adds or more, and a
-    # threaded product of a few rows waits for a second core; so each
-    # block of the screen has fewer than 2**19 / (N d) rows, or one row
-    rows, certify = [], knn._certified_candidates
+    # threaded product of a few rows waits for a second core; so each of
+    # the screen's products has fewer than 2**19 / (N d) rows, or one row.
+    # A block of query rows fills its screen values with as many such
+    # products as it takes
+    products, blocks = [], []
+    matmul, certify = np.matmul, knn._certified_candidates
 
-    def spy(qb, *args):
-        rows.append(len(qb))
+    def product(a, b, **kwargs):
+        products.append(len(a))
+        return matmul(a, b, **kwargs)
+
+    def block(qb, *args):
+        blocks.append((len(qb), products[:]))
+        products.clear()
         return certify(qb, *args)
 
-    monkeypatch.setattr(knn, "_certified_candidates", spy)
+    monkeypatch.setattr(np, "matmul", product)
+    monkeypatch.setattr(knn, "_certified_candidates", block)
     rng = _rng(10)
-    for n, d, most in ((400, 20, 39), (2000, 64, 4), (20000, 40, 1)):
-        rows.clear()
-        knn.kth_nn_cross(rng.normal(size=(100, d)), knn.build_index(rng.normal(size=(n, d))), 5)
-        assert max(rows) == most
+    for n, d, most in ((400, 20, 65), (2000, 64, 4), (20000, 40, 1)):
+        blocks.clear()
+        knn.kth_nn_cross(rng.normal(size=(400, d)), knn.build_index(rng.normal(size=(n, d))), 5)
+        assert max(max(spans) for _, spans in blocks) == most
         assert most == 1 or most * n * d < knn._ONE_THREAD_PRODUCT
+        assert all(sum(spans) == rows for rows, spans in blocks)
+        if (n, d) == (400, 20):
+            assert min(len(spans) for _, spans in blocks) > 1
 
 
 def test_workers_do_not_change_results():

@@ -26,8 +26,9 @@ All estimation functions are pure given immutable inputs. The optional
 changes any value. A build maps its group preparations and its columns
 over ``workers`` threads on every route (sorted line, kd-tree and brute
 force); each query in a thread then runs on one thread. A build with
-one group a side, as a pair's, has nothing to spread and passes
-``workers`` to its neighbor queries.
+one group a side, as a pair's, has nothing to spread and passes its
+neighbor queries the thread count that ``workers`` stands for, -1
+resolved as for the pool.
 """
 
 from __future__ import annotations
@@ -348,11 +349,13 @@ def _divergence_table(ds_from: "Dataset", ds_to: "Dataset", prepare, value,
     ``workers`` threads and no more than the larger dataset has
     groups. Calls in the pool get workers=1, so that threads do not
     multiply inside the neighbor queries; a step with one item, or a
-    build on one thread, calls with ``workers`` itself. Results are
+    build on one thread, calls with the thread count that ``workers``
+    stands for (``_thread_count``), never -1. Results are
     used in input order, and the first exception in that order raises.
     Every call sees the caller's numpy error state.
     """
-    threads = min(_thread_count(workers), max(len(ds_from.groups), len(ds_to.groups)))
+    workers = _thread_count(workers)
+    threads = min(workers, max(len(ds_from.groups), len(ds_to.groups)))
     if ds_from.dim != ds_to.dim:
         raise ContractError(f"dataset dimensions differ: {ds_from.dim} vs {ds_to.dim}")
     with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
@@ -436,7 +439,7 @@ def _sample_table(ds_from: "Dataset", ds_to: "Dataset", k: int, reduce,
     n, m, d)``. The batch holds at most one sorted copy of the dataset's
     points (on d = 1) per direction. A column's queries and nu_k are a
     copy of at most the whole dataset's points, one column per thread at
-    a time; on d = 1 they are made in the thread's knn workspace, which
+    a time; on d = 1 its queries are the thread's knn workspace, which
     the thread keeps for its next column and build.
     """
 
@@ -456,8 +459,7 @@ def _sample_table(ds_from: "Dataset", ds_to: "Dataset", k: int, reduce,
         group's point order.
 
         The groups query together, from the direction's batch (sorted on
-        the line, into the thread's workspace, which ``fill`` reduces
-        before the thread's next column). After any DivknnError every
+        the line). After any DivknnError every
         group queries again on its own, with its points in their order,
         so that each pair's error is its own and names the point as it
         is numbered in its group.

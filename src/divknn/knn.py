@@ -54,29 +54,32 @@ blocks of rows whose temporaries stay within one byte budget,
 ``_BLOCK_BYTES``, 1 MiB. It is small because glibc serves large
 allocations with fresh ``mmap`` pages, and every page of such a
 temporary faults when it is first written, while blocks of a few
-hundred KiB to a MiB are reused from the heap. Column-sized arrays
-freed after each column did the same on a larger scale: glibc trimmed
-the top of its heap after a column and grew it again in the next, about
-9,000 minor page faults for a divergence matrix of 25 one-dimensional
-groups of 2000 points, in some processes and not in others at the same
-code. So a 1-D column of a matrix build works in its thread's
-``_Workspace``, kept from column to column and build to build, and
-allocates no array of its size but its row numbers and masks. The
-budget is not smaller because each block costs a dozen or so numpy
-calls, and threads that run many small blocks wait on the
-interpreter's lock instead of running array loops: with 256 KiB
-blocks, the Renyi matrix of 100 one-dimensional groups of 2000 points
-took longer on two threads than on one (1.53 s against 1.17 s). With
-1 MiB blocks it took 0.93 s on two threads and 1.06 s on one, and the
-d = 20 screen's matrix of 10 groups of 400 points 0.25 s in place of
-0.33 s. The 25-group matrix then took about 240 faults a warm build
-where it took 0, and 15,000 in its first build where it took 1,000, in
-no more time (2-core Xeon, glibc 2.36, ten processes each). On the
-d = 20 matrix, 512 KiB blocks gained about half as much, and 2 MiB
-blocks raised the process's peak RSS by 4.5-6% (three runs each). The
-budget holds per query: threads that query at the same time, as a
-threaded divergence matrix does, hold up to threads x ``_BLOCK_BYTES``
-of temporaries, and each such thread its workspace.
+hundred KiB to a MiB are reused from the heap. It is not smaller
+because each block costs a dozen or so numpy calls, and threads that
+run many small blocks wait on the interpreter's lock instead of running
+array loops: with 256 KiB blocks, the Renyi matrix of 100
+one-dimensional groups of 2000 points took longer on two threads than
+on one (1.53 s against 1.17 s). With 1 MiB blocks it took 0.93 s on two
+threads and 1.06 s on one, and the d = 20 screen's matrix of 10 groups
+of 400 points 0.25 s in place of 0.33 s. On the d = 20 matrix, 512 KiB
+blocks gained about half as much, and 2 MiB blocks raised the process's
+peak RSS by 4.5-6% (three runs each). The budget holds per query:
+threads that query at the same time, as a threaded divergence matrix
+does, hold up to threads x ``_BLOCK_BYTES`` of temporaries.
+
+A 1-D column of a matrix build also makes arrays of its own size. Freed
+after each column, they let glibc trim the top of its heap after a
+column and grow it again in the next. Two of them are kept instead: the
+column's sorted queries, the batch's line less the column's group, and
+their permutation are the thread's ``_Workspace``, kept from column to
+column and from build to build. The divergence matrix of 25
+one-dimensional groups of 2000 points then takes about 350 minor page
+faults a warm build and 9,500-9,900 its first (``workers=1``; 2-core
+Xeon, glibc 2.36). With no workspace a warm build took 9,100-13,500,
+and divbench's ``ggrid`` workload, that matrix and its tasks, 20-25%
+more time. Keeping the column's rank table, nu_k and split arrays too
+saved no time and about 110 faults a warm build, and cost 5,000 more
+in the first, so those are allocated per column.
 
 Squared distances are used internally; square roots are taken once at
 the boundary. All results are exact. The sorted-line route, the d > 15
@@ -134,9 +137,8 @@ class NeighborIndex:
     ``tree`` holds the structure of the route chosen from d:
 
     * d = 1: the sorted coordinates, a 1-D array searched as a sorted
-      line; ``order`` is then the stable argsort that sorts them (int32
-      where the points' number fits), so ``tree[i]`` is point
-      ``order[i]``;
+      line; ``order`` is then the stable argsort that sorts them, so
+      ``tree[i]`` is point ``order[i]``;
     * 2 <= d <= 15: a balanced kd-tree (median split on the widest-spread
       coordinate, leaf size 16);
     * d > 15: None, and queries run brute force: a matrix-product screen
@@ -160,7 +162,7 @@ class NeighborIndex:
         self.points = pts
         self.order = self.screen = None
         if pts.shape[1] == 1:
-            self.order = _permutation(pts[:, 0], "stable")
+            self.order = np.argsort(pts[:, 0], kind="stable")
             self.tree = pts[self.order, 0]
         elif pts.shape[1] > BRUTE_FORCE_DIM:
             self.tree = None
@@ -179,38 +181,32 @@ class NeighborIndex:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def _rank_distances(self, queries: np.ndarray, ranks: tuple, workers: int,
-                        out: np.ndarray | None = None) -> np.ndarray:
+    def _rank_distances(self, queries: np.ndarray, ranks: tuple, workers: int) -> np.ndarray:
         """Distances to the indexed points of the given 1-based neighbor
-        ranks (ascending, at most the index size), one column per rank;
-        on the sorted line in ``out`` if it is given."""
+        ranks (ascending, at most the index size), one column per rank."""
         if self.tree is None:
             return _screened_rank_distances(queries, self.points, self.screen, ranks)
         if self.dim == 1:
-            return _line_rank_distances(queries[:, 0], self.tree, ranks, out)
+            return _line_rank_distances(queries[:, 0], self.tree, ranks)
         return self.tree.query(queries, k=list(ranks), workers=workers)[0]
 
 
-def _in_blocks(n: int, row_bytes: int, ncols: int, block,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """The n x ncols table filled by ``block(rows)``, in ``out`` if given,
-    one slice of rows at a time: as many as keep row_bytes per row within
-    _BLOCK_BYTES, and at least one."""
+def _in_blocks(n: int, row_bytes: int, ncols: int, block) -> np.ndarray:
+    """The n x ncols table filled by ``block(rows)``, one slice of rows at
+    a time: as many as keep row_bytes per row within _BLOCK_BYTES, and at
+    least one."""
     step = max(1, _BLOCK_BYTES // row_bytes)
-    if out is None:
-        out = np.empty((n, ncols))
+    out = np.empty((n, ncols))
     for start in range(0, n, step):
         rows = slice(start, start + step)
         out[rows] = block(rows)
     return out
 
 
-def _line_rank_distances(q: np.ndarray, line: np.ndarray, ranks: tuple,
-                         out: np.ndarray | None = None) -> np.ndarray:
+def _line_rank_distances(q: np.ndarray, line: np.ndarray, ranks: tuple) -> np.ndarray:
     """Route for d = 1 against ``line``, the sorted sample c_0 <= ... <=
     c_(m-1): one binary search per point or midpoint and rank over the
-    sorted queries; bitwise equal to _brute_rank_distances. The table is
-    made in ``out`` if it is given.
+    sorted queries; bitwise equal to _brute_rank_distances.
 
     The squared distances a_j = (q - c_j)**2, formed as brute force forms
     them, never rise over the points c_j <= q and never fall over the
@@ -275,7 +271,7 @@ def _line_rank_distances(q: np.ndarray, line: np.ndarray, ranks: tuple,
             table[:, j] = v
         return np.sqrt(table, out=table)
 
-    out = _in_blocks(n, (6 + len(ranks)) * 8, len(ranks), block, out=out)
+    out = _in_blocks(n, (6 + len(ranks)) * 8, len(ranks), block)
     redo = np.flatnonzero(~exact)
     if redo.size:
         out[redo] = _window_rank_distances(q[redo], line, ranks)
@@ -438,27 +434,19 @@ def _certified_candidates(qb, points, cand, boundary, margin, kq):
     return d2, np.isfinite(bound) & (bound >= d2[:, -1])
 
 
-def _permutation(values: np.ndarray, kind: str | None = None) -> np.ndarray:
-    """argsort(values), int32 where their number fits: a sorted index and a
-    QueryBatch narrow theirs alike, so one workspace serves both."""
-    order = np.argsort(values, kind=kind)
-    return order.astype(np.int32) if len(values) <= np.iinfo(np.int32).max else order
-
-
 class QueryBatch:
     """The points of several indexed groups as the query rows of
     cross-sample queries, in the order that answers them fastest.
 
     On d = 1 ``line`` holds every group's points, sorted once, and
-    ``order`` the permutation that sorts them (int32 where the points'
-    number fits): line[i] is point order[i] of the groups stacked in
-    their order, in which group g holds points bounds[g]:bounds[g + 1].
-    Leaving a group out compresses the line, which keeps it sorted. A
+    ``order`` the permutation that sorts them: line[i] is point order[i]
+    of the groups stacked in their order, in which group g holds points
+    bounds[g]:bounds[g + 1]. Leaving a group out compresses the line,
+    which keeps it sorted, into the calling thread's ``_Workspace``. A
     query's distances depend on its value alone, so the sort need not be
     stable; a batch of one group takes its index's sorted line and order
     as they are. On d >= 2 both are None and the queries are the groups'
-    points stacked. Safe for concurrent queries: on d = 1 each thread
-    that calls ``kth_nn_cross`` works in its own ``_Workspace``.
+    points stacked. Safe for concurrent queries.
     """
 
     __slots__ = ("groups", "bounds", "line", "order")
@@ -472,16 +460,16 @@ class QueryBatch:
                 self.line, self.order = indexes[0].tree, indexes[0].order
             else:
                 pooled = np.concatenate(self.groups)[:, 0]
-                self.order = _permutation(pooled)
+                self.order = np.argsort(pooled)
                 self.line = pooled[self.order]
 
-    def query(self, skip: int | None = None, workspace: _Workspace | None = None):
+    def query(self, skip: int | None = None):
         """(queries, split) for every group but ``skip``: the query rows,
         sorted on d = 1 and else the groups' points stacked in group
         order, and a function that splits values, one per query row, into
-        one array per group, each in its group's point order. On d = 1
-        the compressed line and permutation and the split arrays are made
-        in ``workspace`` if it is given."""
+        new arrays, one per group, each in its group's point order. On
+        d = 1 with a group left out, the queries and split hold until the
+        thread's next such query, which reuses its workspace."""
         groups = [g for g in range(len(self.groups)) if g != skip]
         if self.line is None:
             cuts = np.cumsum([len(self.groups[g]) for g in groups[:-1]])
@@ -490,16 +478,15 @@ class QueryBatch:
                     lambda values: np.split(values, cuts))
         line, order = self.line, self.order
         if skip is not None:
+            workspace = _Workspace.of_thread(self.bounds[-1])
             # np.compress(..., out=) makes the same rows and took 0.48 ms
             # a 48,000-row column, against 0.14 ms
             rows = np.flatnonzero((order < self.bounds[skip]) | (order >= self.bounds[skip + 1]))
-            line = line.take(rows, mode="clip",
-                             out=None if workspace is None else workspace.queries[:len(rows)])
-            order = order.take(rows, mode="clip",
-                               out=None if workspace is None else workspace.order[:len(rows)])
+            line = line.take(rows, mode="clip", out=workspace.queries[:len(rows)])
+            order = order.take(rows, mode="clip", out=workspace.order[:len(rows)])
 
         def split(values):
-            stacked = np.empty(self.bounds[-1]) if workspace is None else workspace.stacked
+            stacked = np.empty(self.bounds[-1])
             stacked[order] = values
             return [stacked[self.bounds[g]:self.bounds[g + 1]] for g in groups]
 
@@ -508,64 +495,38 @@ class QueryBatch:
     def kth_nn_cross(self, skip: int | None, index: NeighborIndex, k: int,
                      workers: int = 1) -> list:
         """kth_nn_cross of every group but ``skip`` against ``index``, one
-        array per group in its point order.
-
-        On d = 1 the compressed queries and permutation, the route's rank
-        table, nu_k and the arrays returned are in this thread's
-        ``_Workspace``: they hold until the thread's next call on any
-        batch, so a caller reduces them first.
-        """
-        workspace = (None if self.line is None
-                     else _Workspace.of_thread(self.bounds[-1], self.order.dtype))
-        queries, split = self.query(skip, workspace)
-        return split(kth_nn_cross(queries, index, k, workers=workers, workspace=workspace))
+        new array per group in its point order."""
+        queries, split = self.query(skip)
+        return split(kth_nn_cross(queries, index, k, workers=workers))
 
 
 class _Workspace:
-    """One thread's buffers for the d = 1 column queries of QueryBatches
-    of up to ``size`` points: the compressed sorted queries (``queries``)
-    and their permutation (``order``), the route's rank table (``table``,
-    up to two ranks a row), nu_k (``nu``) and the target of the split
-    (``stacked``), 40 bytes a point with an int32 permutation.
+    """One thread's buffers for the d = 1 queries of QueryBatches of up to
+    ``size`` points that leave a group out: the compressed sorted queries
+    (``queries``) and their permutation (``order``), 16 bytes a point.
 
-    A column then allocates, beyond masks of a byte a query, only the
-    numbers of its rows in the batch's line (8 bytes a query).
-
-    A thread keeps its workspace from one matrix build to the next, and
-    replaces it only for a larger batch or another permutation type
-    (indexes and batches narrow theirs alike, so only past 2**31 - 1
-    points); it is freed with the thread, so a build's pool threads free
-    theirs when the build ends. Held by the batch instead, and so
-    allocated once per build, the buffers left glibc a free block at the
-    top of its heap to give back after the build and take again in the
-    next: the build of 25 one-dimensional groups of 2000 points then took
-    about 1,070 minor page faults, and none with the workspace held by
-    the thread (glibc 2.36).
-
-    ``table`` serves both route calls of a cross query: the coincident
-    rows' rank k + 1 is asked for after the first table has been read.
+    A thread keeps its workspace from one column to the next and from one
+    matrix build to the next, and replaces it only for a larger batch; it
+    is freed with the thread, so a build's pool threads free theirs when
+    the build ends. Of a column's arrays these two are the ones whose
+    reuse pays (module docstring); its rank table, nu_k and split arrays
+    are allocated per column.
     """
 
-    __slots__ = ("queries", "order", "table", "nu", "stacked")
+    __slots__ = ("queries", "order")
     _threads = threading.local()
 
-    def __init__(self, size: int, order_dtype):
+    def __init__(self, size: int):
         self.queries = np.empty(size)
-        self.order = np.empty(size, order_dtype)
-        self.table = np.empty(2 * size)
-        self.nu = np.empty(size)
-        self.stacked = np.empty(size)
+        self.order = np.empty(size, np.intp)
 
     @classmethod
-    def of_thread(cls, size: int, order_dtype) -> "_Workspace":
+    def of_thread(cls, size: int) -> "_Workspace":
         """The calling thread's workspace, made or replaced to hold size points."""
         workspace = getattr(cls._threads, "workspace", None)
-        if workspace is None or len(workspace.nu) < size or workspace.order.dtype != order_dtype:
-            workspace = cls._threads.workspace = cls(size, order_dtype)
+        if workspace is None or len(workspace.queries) < size:
+            workspace = cls._threads.workspace = cls(size)
         return workspace
-
-    def rank_table(self, rows: int, ncols: int) -> np.ndarray:
-        return self.table[:rows * ncols].reshape(rows, ncols)
 
 
 def build_index(points) -> NeighborIndex:
@@ -585,8 +546,7 @@ def kth_nn_within(index: NeighborIndex, k: int, *, workers: int = 1) -> np.ndarr
     return split(rho)[0]
 
 
-def kth_nn_cross(query_points, index: NeighborIndex, k: int, *, workers: int = 1,
-                 workspace: _Workspace | None = None) -> np.ndarray:
+def kth_nn_cross(query_points, index: NeighborIndex, k: int, *, workers: int = 1) -> np.ndarray:
     """Distance from each query point to its k-th nearest indexed point.
 
     A zero-distance match (the query point coinciding exactly with an
@@ -595,20 +555,15 @@ def kth_nn_cross(query_points, index: NeighborIndex, k: int, *, workers: int = 1
     distance means the indexed sample holds duplicates at the query
     location and raises DegenerateDistanceError. Each query's distance
     is the same whatever the other queries and their order; on a 1-D
-    index, sorted queries skip a sort. ``workspace``, which
-    ``QueryBatch.kth_nn_cross`` passes on d = 1, holds the rank table and
-    the result (a view of its ``nu``).
+    index, sorted queries skip a sort.
     """
     queries = _as_points(query_points, "query_points")
     if queries.shape[1] != index.dim:
         raise ValueError(
             f"query dimension {queries.shape[1]} != index dimension {index.dim}"
         )
-    return _kth_cross(
-        queries, index.size, k,
-        lambda qs, ranks: index._rank_distances(qs, ranks, workers, None if workspace is None
-                                                else workspace.rank_table(len(qs), len(ranks))),
-        None if workspace is None else workspace.nu[:len(queries)])
+    return _kth_cross(queries, index.size, k,
+                      lambda qs, ranks: index._rank_distances(qs, ranks, workers))
 
 
 def _kth_within(n: int, k: int, rank_distances) -> np.ndarray:
@@ -627,10 +582,8 @@ def _kth_within(n: int, k: int, rank_distances) -> np.ndarray:
     return rank_distances((k + 1,))[:, 0]
 
 
-def _kth_cross(queries: np.ndarray, m: int, k: int, rank_distances,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """k-th nearest of m indexed points per query, a coincidence excluded,
-    in ``out`` if it is given.
+def _kth_cross(queries: np.ndarray, m: int, k: int, rank_distances) -> np.ndarray:
+    """k-th nearest of m indexed points per query, a coincidence excluded.
 
     ``rank_distances(qs, ranks)`` returns the distances of the query rows
     qs to the indexed points of the given neighbor ranks.
@@ -645,9 +598,7 @@ def _kth_cross(queries: np.ndarray, m: int, k: int, rank_distances,
     # rank k+1, the answer with one, is computed for the coincident rows
     # alone.
     dist = rank_distances(queries, (1, k) if k > 1 else (1,))
-    if out is None:
-        out = np.empty(len(queries))
-    out[:] = dist[:, -1]
+    out = dist[:, -1].copy()
     coincident = np.flatnonzero(dist[:, 0] == 0.0)
     if coincident.size:
         if k == m:

@@ -944,11 +944,11 @@ def test_line_batches_equal_the_pair_api(monkeypatch, cfg, workers):
     coincident = []
     real = knn._line_rank_distances
 
-    def recorded(q, line, ranks, out=None):
+    def recorded(q, line, ranks):
         # a within-sample query reads rank k + 1 too, on the line itself
         if ranks == (cfg.k + 1,) and not np.shares_memory(q, line):
             coincident.append(len(q))
-        return real(q, line, ranks, out)
+        return real(q, line, ranks)
 
     monkeypatch.setattr(knn, "_line_rank_distances", recorded)
     pair = _pair_estimate(cfg)
@@ -961,8 +961,8 @@ def test_line_batches_equal_the_pair_api(monkeypatch, cfg, workers):
 
 
 def test_threads_keep_their_own_line_workspaces():
-    # A 1-D column writes its queries, rank table, nu_k and split arrays
-    # into its thread's knn workspace. With more threads than cores and a
+    # A 1-D column writes its sorted queries and their permutation into
+    # its thread's knn workspace. With more threads than cores and a
     # switch interval of a microsecond, threads interleave inside their
     # columns, so a workspace shared between threads would mix their nu_k;
     # then a build on this thread reuses its own workspace. Every cell
@@ -980,6 +980,33 @@ def test_threads_keep_their_own_line_workspaces():
         sys.setswitchinterval(interval)
     _assert_pair_values(threaded, ds, ds, pair, cfg)
     assert np.array_equal(est.divergence_matrix(ds, cfg).values, threaded)
+
+
+def test_one_item_steps_pass_the_resolved_thread_count(monkeypatch):
+    # workers=-1 counts the CPUs of the affinity mask; a step that runs
+    # outside the pool passes that count to its queries, not -1, which
+    # cKDTree would resolve as os.cpu_count()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    seen, real = [], knn.NeighborIndex._rank_distances
+
+    def recorded(self, queries, ranks, workers):
+        seen.append(workers)
+        return real(self, queries, ranks, workers)
+
+    monkeypatch.setattr(knn.NeighborIndex, "_rank_distances", recorded)
+    rng = _rng(142)
+    x, y = rng.normal(size=(60, 2)), rng.normal(0.5, 1.0, size=(50, 2))
+    cfg = est.EstimatorConfig("renyi", 0.5, 5)
+    want = est.renyi_divergence(x, y, 5, 0.5)
+    seen.clear()
+    assert est.renyi_divergence(x, y, 5, 0.5, workers=-1) == want
+    assert seen and set(seen) == {1}
+    one = Dataset((Group("x", x),))
+    ds = Dataset(tuple(Group(f"g{i}", rng.normal(0.3 * i, 1.0, size=(40, 2))) for i in range(3)))
+    want = est.cross_divergence_matrix(one, ds, cfg)
+    seen.clear()
+    assert np.array_equal(est.cross_divergence_matrix(one, ds, cfg, workers=-1), want)
+    assert seen and set(seen) == {1}
 
 
 def test_pool_has_at_most_one_thread_per_group(monkeypatch):
@@ -1042,7 +1069,8 @@ def test_all_workers_counts_the_cpus_the_process_may_run_on(monkeypatch):
 
 def test_queries_in_the_pool_run_on_one_thread(monkeypatch):
     # two column threads must not each start workers kd-tree threads; a
-    # build with nothing to spread passes workers on to its queries
+    # build with nothing to spread passes its queries the thread count
+    # that workers stands for
     seen = []
     for name in ("kth_nn_within", "kth_nn_cross"):
         real = getattr(knn, name)
@@ -1051,10 +1079,10 @@ def test_queries_in_the_pool_run_on_one_thread(monkeypatch):
     ds = Dataset(tuple(Group(f"g{i}", _rng(i).normal(size=(40, 2))) for i in range(3)))
     cfg = est.EstimatorConfig("renyi", 0.5, 5)
     est.divergence_matrix(ds, cfg, workers=-1)
-    assert len(seen) == 6 and set(seen) == ({1} if est._thread_count(-1) > 1 else {-1})
+    assert len(seen) == 6 and set(seen) == {1}
     seen.clear()
     est.cross_divergence_matrix(Dataset(ds.groups[:1]), Dataset(ds.groups[1:2]), cfg, workers=-1)
-    assert seen == [-1] * 4
+    assert seen == [est._thread_count(-1)] * 4
 
 
 def _pair_build(name):

@@ -6,6 +6,7 @@ import platform
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -500,9 +501,9 @@ def _record_rank_queries(monkeypatch):
     query rows it gets and the ranks it is asked for."""
     real, calls = knn.NeighborIndex._rank_distances, []
 
-    def recorded(self, queries, ranks, workers, out=None):
+    def recorded(self, queries, ranks, workers):
         calls.append((queries.copy(), ranks))
-        return real(self, queries, ranks, workers, out)
+        return real(self, queries, ranks, workers)
 
     monkeypatch.setattr(knn.NeighborIndex, "_rank_distances", recorded)
     return calls
@@ -706,24 +707,49 @@ def test_block_size_never_changes_a_matrix(monkeypatch):
         fell[0] = 0
 
 
-def test_one_group_and_pooled_batches_share_a_workspace():
-    # a matrix whose row side is one group queries from the index's own
-    # line and order; its permutation type matches a pooled batch's, so a
-    # thread alternating the two keeps one workspace
+def test_a_thread_keeps_one_line_workspace():
+    # a thread's columns reuse one workspace across batches of no more
+    # points; a one-group batch never compresses its line and makes none
     rng = _rng(16)
     indexes = [knn.build_index(rng.normal(size=(60, 1))) for _ in range(3)]
     target = rng.normal(size=(50, 1))
     index = knn.build_index(target)
-    pooled, one = knn.QueryBatch(indexes), knn.QueryBatch(indexes[:1])
-    assert one.order.dtype == pooled.order.dtype
+    pooled, fewer, one = (knn.QueryBatch(indexes), knn.QueryBatch(indexes[:2]),
+                          knn.QueryBatch(indexes[:1]))
+
+    made = []
+
+    def one_group_column():
+        one.kth_nn_cross(None, index, 3)
+        made.append(getattr(knn._Workspace._threads, "workspace", None))
+
+    thread = threading.Thread(target=one_group_column)
+    thread.start()
+    thread.join()
+    assert made == [None]
     pooled.kth_nn_cross(0, index, 3)
     workspace = knn._Workspace._threads.workspace
-    for batch, skip in ((one, None), (pooled, 2), (one, None)):
+    for batch, skip in ((one, None), (pooled, 2), (fewer, 1), (one, None), (pooled, 0)):
         got = batch.kth_nn_cross(skip, index, 3)
         assert knn._Workspace._threads.workspace is workspace
         rest = [g for i, g in enumerate(batch.groups) if i != skip]
         assert all(np.array_equal(nu, knn.brute_kth_nn_cross(g, target, 3))
                    for nu, g in zip(got, rest))
+
+
+def test_a_columns_results_survive_the_threads_next_column():
+    rng = _rng(17)
+    indexes = [knn.build_index(rng.normal(size=(40 + 10 * i, 1))) for i in range(3)]
+    target = rng.normal(size=(30, 1))
+    index = knn.build_index(target)
+    batch = knn.QueryBatch(indexes)
+    first = batch.kth_nn_cross(0, index, 3)
+    kept = [nu.copy() for nu in first]
+    batch.kth_nn_cross(1, index, 3)
+    batch.kth_nn_cross(2, index, 4)
+    assert all(np.array_equal(nu, want) for nu, want in zip(first, kept))
+    assert all(np.array_equal(nu, knn.brute_kth_nn_cross(ix.points, target, 3))
+               for nu, ix in zip(first, indexes[1:]))
 
 
 _CHURN = textwrap.dedent("""
@@ -748,14 +774,15 @@ _CHURN = textwrap.dedent("""
 @pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
                     reason="counts minor page faults under glibc's heap trimming")
 def test_line_matrix_builds_do_not_regrow_the_heap():
-    # A 1-D matrix column's queries, rank table, nu_k and split arrays are
-    # the thread's workspace, kept from one build to the next. Freed and
-    # allocated again per column, they left glibc a free block at the top
+    # A 1-D matrix column's sorted queries and their permutation are the
+    # thread's workspace, kept from one build to the next. Freed and
+    # allocated again per column, they leave glibc a free block at the top
     # of its heap to give back and take again, and such a process took
-    # about 9,000 minor page faults a build (25 columns of 48,000
-    # queries); with the workspace it takes none once warm. The bound was
-    # measured on glibc 2.36; another allocator trims by other rules. A
-    # fresh interpreter without malloc settings.
+    # 9,100-13,500 minor page faults a warm build (25 columns of 48,000
+    # queries); with the workspace it takes about 350, and 9,500-9,900 in
+    # its first build. The bound was measured on glibc 2.36; another
+    # allocator trims by other rules. A fresh interpreter without malloc
+    # settings.
     env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
     env["PYTHONPATH"] = str(Path(knn.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-c", _CHURN], env=env, capture_output=True,

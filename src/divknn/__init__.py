@@ -9,6 +9,7 @@ divergence matrix.
 from .baselines import GaussianFit, fit_gaussian, gaussian_l2, gaussian_renyi
 from .dataset import (
     Dataset,
+    DivergenceMatrix,
     Group,
     load_dataset,
     load_labels,
@@ -30,7 +31,6 @@ from .errors import (
 )
 from .estimators import (
     EstimatorConfig,
-    DivergenceMatrix,
     alpha_integral,
     correction_factor,
     cross_divergence_matrix,

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import DivergenceMatrix
 from .errors import ConfigError, ContractError, InsufficientSampleError
-from .estimators import RENYI, DivergenceMatrix, _divergence_table
+from .estimators import RENYI, _divergence_table
 
 # Smallest covariance eigenvalue tolerated, relative to mean variance.
 RIDGE_FLOOR = 1e-9
@@ -22,14 +23,15 @@ RIDGE_FLOOR = 1e-9
 
 @dataclass(frozen=True)
 class GaussianFit:
-    """Mean vector and symmetric positive-definite covariance."""
+    """Mean vector and symmetric positive-definite covariance, both copied
+    and frozen at construction."""
 
     mean: np.ndarray
     covariance: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64).reshape(-1)
-        cov = np.atleast_2d(np.asarray(self.covariance, dtype=np.float64))
+        mean = np.array(self.mean, dtype=np.float64).reshape(-1)
+        cov = np.atleast_2d(np.array(self.covariance, dtype=np.float64))
         d = mean.shape[0]
         if cov.shape != (d, d):
             raise ConfigError(f"covariance shape {cov.shape} does not match dim {d}")

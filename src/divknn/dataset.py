@@ -2,6 +2,9 @@
 
 A dataset is a collection of groups; each group is a bag of i.i.d.
 d-dimensional sample points standing in for one unknown distribution.
+A ``DivergenceMatrix`` holds the pairwise divergences between the
+groups of a dataset. The estimators, baselines and tasks import these
+types from here, and this module imports none of them.
 
 On-disk formats (UTF-8, comma separators, '.' decimal point):
 
@@ -39,8 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError
-from .estimators import DivergenceMatrix
+from .errors import ContractError, DataFormatError
 
 RESERVED_FILES = ("labels.csv", "params.csv", "flags.csv")
 
@@ -138,6 +140,45 @@ class Dataset:
         if missing:
             raise DataFormatError(f"groups without labels: {', '.join(missing)}")
         return tuple(g.label for g in self.groups)  # type: ignore[return-value]
+
+
+@dataclass(frozen=True)
+class DivergenceMatrix:
+    """Pairwise divergences between the groups of a dataset.
+
+    ``values[i, j]`` is the estimated divergence from group ``ids[i]``
+    to group ``ids[j]``; the diagonal is exactly zero by convention.
+    ``config`` is the ``estimators.EstimatorConfig`` the entries were
+    produced with (None for matrices read back from disk or computed
+    otherwise). The values are copied and frozen at construction.
+    """
+
+    ids: tuple[str, ...]
+    values: np.ndarray
+    config: object | None = None
+
+    def __post_init__(self):
+        vals = np.array(self.values, dtype=np.float64)
+        n = len(self.ids)
+        if vals.shape != (n, n):
+            raise ContractError(f"matrix shape {vals.shape} does not match {n} ids")
+        if not np.isfinite(vals).all():
+            raise ContractError("divergence matrix contains non-finite entries")
+        if (np.diag(vals) != 0.0).any():
+            raise ContractError("divergence matrix diagonal must be exactly zero")
+        if self.config is not None and self.config.symmetrize:
+            if not np.array_equal(vals, vals.T):
+                raise ContractError("symmetrized matrix must equal its transpose exactly")
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "ids", tuple(self.ids))
+
+    @property
+    def size(self) -> int:
+        return len(self.ids)
+
+    def is_symmetric(self) -> bool:
+        return bool(np.array_equal(self.values, self.values.T))
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,12 @@ each term asymptotically unbiased; no density estimate is ever formed.
 Every matrix, sample-based or Gaussian baseline, is a view of one
 directed table of estimates from row groups to column groups, paired by
 ``_divergence_table`` alone, whose errors name their group or pair;
-symmetrizing averages it with its reverse. A pair function's estimate
-is the one cell of the sample-based table from a copy of x, as group
-'x', to a copy of y, as group 'y', not symmetrized. A group in both
+symmetrizing averages it with its reverse. A matrix comes back as a
+``dataset.DivergenceMatrix``, which lives with the data model. A pair
+function's estimate is the one cell of the sample-based table from x,
+as group 'x', to y, as group 'y', not symmetrized; the groups view x
+and y where they are float64 and C-ordered, and copy them only
+otherwise. A group in both
 datasets is never paired with itself and its cell is 0. The
 sample-based table is filled one column at a time: the column group's
 index answers a single nu_k query over the points of all its row
@@ -23,29 +26,28 @@ concern alone.
 
 All estimation functions are pure given immutable inputs. The optional
 ``workers`` argument, -1 (every CPU) or a positive thread count, never
-changes any value. A build maps its group preparations and its columns
-over ``workers`` threads on every route (sorted line, kd-tree and brute
-force); each query in a thread then runs on one thread. A build with
-one group a side, as a pair's, has nothing to spread and passes its
-neighbor queries the thread count that ``workers`` stands for, -1
-resolved as for the pool.
+changes any value; ``knn._thread_count`` checks and resolves it. A
+build maps its group preparations and its columns over ``workers``
+threads on every route (sorted line, kd-tree and brute force); each
+query in a thread then runs on one thread. A build with one group a
+side, as a pair's, has nothing to spread and passes its neighbor
+queries the thread count that ``workers`` stands for.
 """
 
 from __future__ import annotations
 
 import contextvars
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import repeat
-from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.special import poch
 
 from . import knn
+from .dataset import Dataset, DivergenceMatrix, Group
 from .errors import (
     ConfigError,
     ContractError,
@@ -53,10 +55,7 @@ from .errors import (
     DivknnError,
     NonFiniteEstimateError,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .dataset import Dataset
-
+from .knn import _thread_count
 
 RENYI = "renyi"
 L2 = "l2"
@@ -90,44 +89,6 @@ class EstimatorConfig:
                 )
         elif self.k < 3:
             raise ConfigError(f"l2 estimator requires k >= 3, got k={self.k}")
-
-
-@dataclass(frozen=True)
-class DivergenceMatrix:
-    """Pairwise divergences between the groups of a dataset.
-
-    ``values[i, j]`` is the estimated divergence from group ``ids[i]``
-    to group ``ids[j]``; the diagonal is exactly zero by convention.
-    ``config`` records how the entries were produced (None for matrices
-    read back from disk).
-    """
-
-    ids: tuple[str, ...]
-    values: np.ndarray
-    config: EstimatorConfig | None = None
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        n = len(self.ids)
-        if vals.shape != (n, n):
-            raise ContractError(f"matrix shape {vals.shape} does not match {n} ids")
-        if not np.isfinite(vals).all():
-            raise ContractError("divergence matrix contains non-finite entries")
-        if (np.diag(vals) != 0.0).any():
-            raise ContractError("divergence matrix diagonal must be exactly zero")
-        if self.config is not None and self.config.symmetrize:
-            if not np.array_equal(vals, vals.T):
-                raise ContractError("symmetrized matrix must equal its transpose exactly")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "ids", tuple(self.ids))
-
-    @property
-    def size(self) -> int:
-        return len(self.ids)
-
-    def is_symmetric(self) -> bool:
-        return bool(np.array_equal(self.values, self.values.T))
 
 
 def correction_factor(k: int, alpha: float) -> float:
@@ -299,18 +260,6 @@ def symmetrize(a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 # Pairwise matrices.
 
-def _thread_count(workers) -> int:
-    """The threads that ``workers`` asks for: at -1 every CPU this process
-    may run on (its affinity mask, where the platform has one), else workers."""
-    if not (isinstance(workers, (int, np.integer)) and (workers == -1 or workers >= 1)):
-        raise ConfigError(f"workers must be -1 or a positive integer, got {workers!r}")
-    if workers != -1:
-        return int(workers)
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _capture(fn, *args, **kwargs):
     """fn(*args, **kwargs), or the DivknnError it raises."""
     try:
@@ -319,7 +268,7 @@ def _capture(fn, *args, **kwargs):
         return exc
 
 
-def _divergence_table(ds_from: "Dataset", ds_to: "Dataset", prepare, value,
+def _divergence_table(ds_from: Dataset, ds_to: Dataset, prepare, value,
                       symmetric: bool, workers: int, gather=list,
                       column=lambda gathered, skip, col, workers: repeat(None)) -> np.ndarray:
     """Directed divergences from ds_from's groups to ds_to's, symmetrized on request.
@@ -350,7 +299,7 @@ def _divergence_table(ds_from: "Dataset", ds_to: "Dataset", prepare, value,
     groups. Calls in the pool get workers=1, so that threads do not
     multiply inside the neighbor queries; a step with one item, or a
     build on one thread, calls with the thread count that ``workers``
-    stands for (``_thread_count``), never -1. Results are
+    stands for (``knn._thread_count``), never -1. Results are
     used in input order, and the first exception in that order raises.
     Every call sees the caller's numpy error state.
     """
@@ -425,7 +374,7 @@ def _divergence_table(ds_from: "Dataset", ds_to: "Dataset", prepare, value,
         return symmetrize(table, back.T)
 
 
-def _sample_table(ds_from: "Dataset", ds_to: "Dataset", k: int, reduce,
+def _sample_table(ds_from: Dataset, ds_to: Dataset, k: int, reduce,
                   symmetric: bool, workers: int) -> np.ndarray:
     """The table of sample-based estimates from ds_from's groups to ds_to's.
 
@@ -482,13 +431,11 @@ def _pair_value(x, y, k: int, workers, reduce) -> float:
     """The one cell of the sample table from x to y, as one-group datasets
     'x' and 'y' and not symmetrized. The groups view x and y, which the
     call holds no copy of where they are float64 and C-ordered."""
-    from .dataset import Dataset, Group  # dataset imports this module
-
     return float(_sample_table(Dataset((Group._over("x", x),)), Dataset((Group._over("y", y),)),
                                k, reduce, False, workers)[0, 0])
 
 
-def divergence_matrix(ds: "Dataset", cfg: EstimatorConfig, *, workers: int = 1) -> DivergenceMatrix:
+def divergence_matrix(ds: Dataset, cfg: EstimatorConfig, *, workers: int = 1) -> DivergenceMatrix:
     """All pairwise divergences between the groups of a dataset.
 
     The cross matrix of ds with itself: each group's index and rho_k
@@ -501,7 +448,7 @@ def divergence_matrix(ds: "Dataset", cfg: EstimatorConfig, *, workers: int = 1) 
     return DivergenceMatrix(ds.ids, cross_divergence_matrix(ds, ds, cfg, workers=workers), cfg)
 
 
-def cross_divergence_matrix(ds_from: "Dataset", ds_to: "Dataset",
+def cross_divergence_matrix(ds_from: Dataset, ds_to: Dataset,
                             cfg: EstimatorConfig, *, workers: int = 1) -> np.ndarray:
     """Divergences from each group of ds_from to each group of ds_to.
 

@@ -84,14 +84,24 @@ in the first, so those are allocated per column.
 Squared distances are used internally; square roots are taken once at
 the boundary. All results are exact. The sorted-line route, the d > 15
 route and the kd-tree route up to d = 7 match the brute-force route bit
-for bit, whatever the order of the queries. From d = 8 cKDTree sums a
-squared distance in four interleaved partial sums and numpy's brute
-force in eight, so there the two may differ in the last bits.
+for bit, whatever the order of the queries. One kernel,
+``_smallest_squares``, forms every squared distance that the oracle,
+the d > 15 recompute and the 1-D window take, so those three agree by
+construction. From d = 8 cKDTree sums a squared distance in four
+interleaved partial sums and numpy's brute force in eight, so there the
+two may differ in the last bits.
+
+``workers``, -1 for every CPU this process may run on or a positive
+thread count, is resolved here, by ``_thread_count``, on every route of
+``kth_nn_within`` and ``kth_nn_cross``; any other value raises
+ConfigError. Only the kd-tree's query uses the count. A divergence
+matrix build sizes its thread pool with the same function.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import threading
 from itertools import accumulate
 
@@ -99,7 +109,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln
 
-from .errors import DegenerateDistanceError, InsufficientSampleError
+from .errors import ConfigError, DegenerateDistanceError, InsufficientSampleError
 
 # kd-trees stop paying off in high dimensions; switch to brute force there.
 BRUTE_FORCE_DIM = 15
@@ -300,8 +310,8 @@ def _window_rank_distances(q: np.ndarray, line: np.ndarray, ranks: tuple) -> np.
     kq sorted points on either side of its insertion point. The window
     [pos - kq, pos + kq), shifted to fit inside the sample (the whole
     sample when it has fewer than 2 kq points), therefore holds them.
-    Distances are sqrt((q - c)**2), formed as the brute-force route forms
-    them, so the two agree bit for bit, ties and underflow included.
+    Distances are formed by _smallest_squares, as the brute-force route
+    forms them, so the two agree bit for bit, ties and underflow included.
     """
     m, kq = line.shape[0], ranks[-1]
     w = min(2 * kq, m)
@@ -311,8 +321,7 @@ def _window_rank_distances(q: np.ndarray, line: np.ndarray, ranks: tuple) -> np.
     def block(rows):
         qb = q[rows]
         start = np.clip(np.searchsorted(line, qb) - kq, 0, m - w)
-        d2 = (qb[:, None] - windows[start]) ** 2
-        d2.sort(axis=1)
+        d2 = _smallest_squares((qb[:, None] - windows[start])[:, :, None], kq)
         return np.sqrt(d2[:, cols])
 
     return _in_blocks(q.shape[0], w * 8, len(ranks), block)
@@ -417,18 +426,16 @@ def _certified_candidates(qb, points, cand, boundary, margin, kq):
     candidates, the rows of points indexed by cand, in ascending order;
     and a mask of the rows where they are the kq smallest of all points.
 
-    The distances are formed as _brute_rank_distances forms them, so they
-    are bitwise its values. Per row, no point outside the candidates may
-    be nearer, as brute force computes it, than boundary less margin. A
-    row is certified when that bound is finite and at least its kq-th
-    recomputed value.
+    The distances are formed by _smallest_squares, as in
+    _brute_rank_distances, so they are bitwise its values. Per row, no
+    point outside the candidates may be nearer, as brute force computes
+    it, than boundary less margin. A row is certified when that bound is
+    finite and at least its kq-th recomputed value.
     """
-    # ((qb[:, None, :] - points[cand]) ** 2).sum(axis=-1), in one buffer
+    # qb[:, None, :] - points[cand], in one buffer
     diff = points[cand]
     np.subtract(qb[:, None, :], diff, out=diff)
-    np.square(diff, out=diff)
-    d2 = np.partition(diff.sum(axis=-1), kq - 1, axis=1)[:, :kq]
-    d2.sort(axis=1)
+    d2 = _smallest_squares(diff, kq)
     with np.errstate(invalid="ignore"):
         bound = boundary - margin
     return d2, np.isfinite(bound) & (bound >= d2[:, -1])
@@ -529,6 +536,18 @@ class _Workspace:
         return workspace
 
 
+def _thread_count(workers) -> int:
+    """The threads that ``workers`` asks for: at -1 every CPU this process
+    may run on (its affinity mask, where the platform has one), else workers."""
+    if not (isinstance(workers, (int, np.integer)) and (workers == -1 or workers >= 1)):
+        raise ConfigError(f"workers must be -1 or a positive integer, got {workers!r}")
+    if workers != -1:
+        return int(workers)
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_index(points) -> NeighborIndex:
     """Index the rows of an N x d matrix for exact neighbor queries."""
     return NeighborIndex(points)
@@ -539,8 +558,10 @@ def kth_nn_within(index: NeighborIndex, k: int, *, workers: int = 1) -> np.ndarr
 
     Requires k <= N - 1. Entry n is zero only if the sample contains
     duplicate rows; callers that need strictly positive distances must
-    screen for that.
+    screen for that. ``workers`` is -1 or a positive thread count
+    (``_thread_count``), for the kd-tree's query.
     """
+    workers = _thread_count(workers)
     queries, split = QueryBatch([index]).query()
     rho = _kth_within(index.size, k, lambda ranks: index._rank_distances(queries, ranks, workers))
     return split(rho)[0]
@@ -555,8 +576,9 @@ def kth_nn_cross(query_points, index: NeighborIndex, k: int, *, workers: int = 1
     distance means the indexed sample holds duplicates at the query
     location and raises DegenerateDistanceError. Each query's distance
     is the same whatever the other queries and their order; on a 1-D
-    index, sorted queries skip a sort.
+    index, sorted queries skip a sort. ``workers`` is as in kth_nn_within.
     """
+    workers = _thread_count(workers)
     queries = _as_points(query_points, "query_points")
     if queries.shape[1] != index.dim:
         raise ValueError(
@@ -627,6 +649,23 @@ def unit_ball_volume(d: int) -> float:
 # Brute-force oracle: the independent reference the routes are verified
 # against, and the d > 15 route's answer for rows its screen cannot certify.
 
+def _smallest_squares(diff: np.ndarray, kq: int) -> np.ndarray:
+    """The kq smallest squared distances of each row, in ascending order,
+    from ``diff``, a rows x candidates x d block of differences, which it
+    squares in place and sums over the coordinates.
+
+    The one place that forms a brute-force squared distance: the oracle,
+    the d > 15 screen's recompute and the 1-D window all call it, so
+    their values are the same bits.
+    """
+    np.square(diff, out=diff)
+    d2 = diff.sum(axis=-1)
+    if kq < d2.shape[1]:
+        d2 = np.partition(d2, kq - 1, axis=1)[:, :kq]
+    d2.sort(axis=1)
+    return d2
+
+
 def _brute_rank_distances(queries: np.ndarray, points: np.ndarray, ranks: tuple) -> np.ndarray:
     """Brute-force oracle: every squared distance, the kq smallest sorted,
     then the ranks' columns (kq the largest rank).
@@ -636,10 +675,7 @@ def _brute_rank_distances(queries: np.ndarray, points: np.ndarray, ranks: tuple)
     kq, cols = ranks[-1], np.subtract(ranks, 1)
 
     def block(rows):
-        d2 = ((queries[rows, None, :] - points[None, :, :]) ** 2).sum(axis=-1)
-        if kq < d2.shape[1]:
-            d2 = np.partition(d2, kq - 1, axis=1)[:, :kq]
-        d2.sort(axis=1)
+        d2 = _smallest_squares(queries[rows, None, :] - points[None, :, :], kq)
         return np.sqrt(d2[:, cols])
 
     return _in_blocks(queries.shape[0], points.shape[0] * points.shape[1] * 8, len(ranks), block)

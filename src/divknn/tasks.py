@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import DivergenceMatrix
 from .errors import ConfigError, ContractError, FlatAffinityError, UndefinedAUCError
-from .estimators import DivergenceMatrix
 
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 200
@@ -28,7 +28,8 @@ class Embedding:
 
     ``eigenvalues`` holds the full double-centered spectrum in
     descending order; negative entries witness non-Euclidean
-    dissimilarities and contribute nothing to the coordinates.
+    dissimilarities and contribute nothing to the coordinates. The
+    coordinates are copied and frozen at construction.
     """
 
     ids: tuple[str, ...]
@@ -36,7 +37,7 @@ class Embedding:
     eigenvalues: tuple[float, ...]
 
     def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=np.float64)
+        coords = np.array(self.coords, dtype=np.float64)
         if coords.ndim != 2 or coords.shape[0] != len(self.ids):
             raise ContractError(f"coords shape {coords.shape} does not match "
                                 f"{len(self.ids)} ids")
@@ -70,14 +71,15 @@ class AnomalyScores:
     """Per-group anomaly scores; larger means more anomalous.
 
     Scores live on the divergence scale, so slightly negative values
-    can appear when the underlying estimates are themselves noisy.
+    can appear when the underlying estimates are themselves noisy. The
+    scores are copied and frozen at construction.
     """
 
     ids: tuple[str, ...]
     score: np.ndarray
 
     def __post_init__(self):
-        score = np.asarray(self.score, dtype=np.float64)
+        score = np.array(self.score, dtype=np.float64)
         if score.shape != (len(self.ids),):
             raise ContractError("one score per id required")
         if not np.isfinite(score).all():

@@ -69,6 +69,19 @@ def test_fit_is_read_only():
         fit.mean[0] = 0.0
 
 
+def test_fit_copies_the_callers_arrays():
+    # the caller's arrays stay writable, and writing to them leaves the
+    # fit as it was
+    mean, cov = np.array([1.0, 2.0]), np.array([[2.0, 0.5], [0.5, 1.0]])
+    fit = bl.GaussianFit(mean, cov)
+    assert mean.flags.writeable and cov.flags.writeable
+    mean[0], cov[0, 0] = 9.0, 9.0
+    assert fit.mean.tolist() == [1.0, 2.0]
+    assert fit.covariance.tolist() == [[2.0, 0.5], [0.5, 1.0]]
+    with pytest.raises(ValueError):
+        fit.covariance[0, 0] = 3.0
+
+
 # ---------------------------------------------------------------------------
 # Closed forms against frozen quadrature values.
 

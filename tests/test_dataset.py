@@ -9,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divknn import dataset as dsm
-from divknn.dataset import Dataset, Group
+from divknn.dataset import Dataset, DivergenceMatrix, Group
 from divknn.errors import DataFormatError
-from divknn.estimators import DivergenceMatrix, EstimatorConfig
+from divknn.estimators import EstimatorConfig
 
 
 def _rng(seed):
@@ -59,6 +59,11 @@ def test_group_rejects_bad_points():
 def test_dataset_rejects_mixed_dimensions():
     with pytest.raises(DataFormatError, match="bad"):
         Dataset((Group("ok", [[1.0]]), Group("bad", [[1.0, 2.0]])))
+
+
+def test_dataset_needs_a_group():
+    with pytest.raises(ValueError, match="dataset must contain at least one group"):
+        Dataset(())
 
 
 def test_dataset_rejects_duplicate_ids():
@@ -453,6 +458,14 @@ def test_params_round_trip(tmp_path):
     assert table["b"].tolist() == [1.0, 0.7]
 
 
+def test_params_table_rejects_a_short_row(tmp_path):
+    f = tmp_path / "params.csv"
+    f.write_text("id,mean,std\na,0.0,0.3\nb,1.0\n")
+    with pytest.raises(DataFormatError) as info:
+        dsm.load_params(f)
+    assert str(info.value) == "params.csv: row 3 has 2 columns, expected 3"
+
+
 def test_with_labels():
     ds = dsm.with_labels(_toy(), {"a": "p", "b": "q"})
     assert ds.labels == ("p", "q")
@@ -482,11 +495,27 @@ def test_matrix_round_trip(tmp_path):
     assert back.config is None
 
 
+def test_matrix_values_are_copied_and_frozen():
+    # the caller's array stays writable, and writing to it leaves the
+    # matrix as it was
+    vals = np.zeros((2, 2))
+    w = DivergenceMatrix(("a", "b"), vals, None)
+    assert vals.flags.writeable
+    vals[0, 1] = 5.0
+    assert w.values.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    with pytest.raises(ValueError):
+        w.values[0, 1] = 1.0
+
+
 def test_matrix_header_mismatch_rejected(tmp_path):
     f = tmp_path / "w.csv"
     f.write_text("id,a,b\na,0,1\nc,1,0\n")
     with pytest.raises(DataFormatError):
         dsm.load_matrix(f)
+    f.write_text("id,a,b,c\na,0,1,2\nb,1,0,2\n")
+    with pytest.raises(DataFormatError) as info:
+        dsm.load_matrix(f)
+    assert str(info.value) == "w.csv: expected 4 rows, found 3"
 
 
 def test_matrix_header_rejects_a_repeated_id(tmp_path):

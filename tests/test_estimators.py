@@ -54,10 +54,13 @@ def _rho_nu(x, y, k):
 def _reference_pair(name, x, y, k, alpha=None):
     """What the pair function ``name`` estimates from x to y, computed
     apart from any divergence table: rho_k screened for zeros, nu_k, and
-    the estimator's reduction of the two."""
+    the estimator's reduction of the two. rho_k is screened before nu_k
+    is queried, as a table prepares x before any column, so that x's
+    duplicates raise before a coincidence with too few points of y."""
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
-    rho, nu = _rho_nu(x, y, k)
+    rho = knn.kth_nn_within(knn.build_index(x), k)
     est._screen_rho(rho)
+    nu = knn.kth_nn_cross(x, knn.build_index(y), k)
     (n, d), m = x.shape, y.shape[0]
     if name in ("alpha_integral", "renyi_divergence"):
         value = est._integral_estimate(np.log(rho), nu, n, m, d, alpha,
@@ -543,6 +546,8 @@ def test_divergence_matrix_validation():
         est.DivergenceMatrix(ids, np.array([[0.5, 1.0], [1.0, 0.0]]), cfg)
     with pytest.raises(ContractError):
         est.DivergenceMatrix(ids, np.full((2, 2), np.nan), cfg)
+    with pytest.raises(ContractError, match=r"matrix shape \(2, 3\) does not match 2 ids"):
+        est.DivergenceMatrix(ids, np.zeros((2, 3)), cfg)
     ok = est.DivergenceMatrix(ids, np.array([[0.0, 1.0], [1.0, 0.0]]), cfg)
     assert ok.values[0, 1] == 1.0
 

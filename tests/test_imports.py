@@ -12,8 +12,13 @@ it is used:
 
 1-D and d > 15 runs load none of them. Each check runs in a fresh
 interpreter, because this test process may already hold these modules.
+
+Inside the package, no module imports another that imports it back,
+at module level or in a function: the data model (``dataset``) sits
+below the estimators, the baselines and the tasks.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -98,6 +103,53 @@ def test_import_loads_no_heavy_scipy_module():
     loaded = _loaded_after("import sys, divknn, divknn.cli, divknn.synth; " + LOADED)
     assert "scipy.special" in loaded
     assert not [m for m in loaded if m.startswith(HEAVY + ROUTE_ONLY)]
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The divknn modules that the module at path imports, anywhere in it."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level == 0:
+                if base != "divknn" and not base.startswith("divknn."):
+                    continue
+                base = base[len("divknn"):].lstrip(".")
+            names = [base] if base else [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name[len("divknn."):] for a in node.names
+                     if a.name.startswith("divknn.")]
+        else:
+            continue
+        found.update(n.split(".")[0] for n in names)
+    return found
+
+
+def test_package_modules_import_no_cycle():
+    package = SRC / "divknn"
+    modules = {p.stem for p in package.glob("*.py")} - {"__init__"}
+    graph = {m: _package_imports(package / f"{m}.py") & modules for m in modules}
+    assert graph["estimators"] >= {"dataset", "knn"}
+    assert "estimators" not in graph["dataset"]
+    done, path = set(), []
+
+    def visit(m):
+        assert m not in path, f"import cycle: {' -> '.join(path[path.index(m):] + [m])}"
+        if m in done:
+            return
+        path.append(m)
+        for n in sorted(graph[m]):
+            visit(n)
+        path.pop()
+        done.add(m)
+
+    for m in sorted(modules):
+        visit(m)
+    # the data model's matrix keeps its names in the package and estimators
+    import divknn
+    from divknn import dataset, estimators
+
+    assert divknn.DivergenceMatrix is dataset.DivergenceMatrix is estimators.DivergenceMatrix
 
 
 def test_line_and_high_dimensional_estimates_load_no_route_module():

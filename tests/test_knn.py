@@ -18,7 +18,12 @@ from hypothesis import strategies as st
 
 from divknn import estimators, knn
 from divknn.dataset import Dataset, Group
-from divknn.errors import DegenerateDistanceError, DivknnError, InsufficientSampleError
+from divknn.errors import (
+    ConfigError,
+    DegenerateDistanceError,
+    DivknnError,
+    InsufficientSampleError,
+)
 
 
 def _rng(seed):
@@ -93,6 +98,10 @@ def test_bad_inputs_rejected():
         knn.kth_nn_cross([[1.0]], idx, 1)
     with pytest.raises(ValueError):
         knn.kth_nn_within(idx, 0)
+    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+        knn.kth_nn_cross([[0.5, 0.5]], idx, 0)
+    with pytest.raises(ValueError, match="query/point dimensions differ"):
+        knn.brute_kth_nn_cross(np.zeros((2, 3)), np.ones((4, 2)), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -880,6 +889,68 @@ def test_workers_do_not_change_results():
     a = knn.kth_nn_within(idx, 5, workers=1)
     b = knn.kth_nn_within(idx, 5, workers=-1)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("d", [1, 2, 20])  # sorted line, kd-tree, screened brute force
+@pytest.mark.parametrize("workers", [0, -2, 1.5, None, "2"])
+def test_queries_reject_a_bad_thread_count(d, workers):
+    # every route checks workers, not only the kd-tree, which scipy checks
+    # in its own way (or not at all, for None)
+    pts = _rng(7).normal(size=(30, d))
+    idx = knn.build_index(pts)
+    with pytest.raises(ConfigError, match="workers must be -1 or a positive integer"):
+        knn.kth_nn_within(idx, 3, workers=workers)
+    with pytest.raises(ConfigError, match="workers must be -1 or a positive integer"):
+        knn.kth_nn_cross(pts[:5] + 0.5, idx, 3, workers=workers)
+
+
+def test_queries_pass_the_resolved_thread_count(monkeypatch):
+    # -1 counts the CPUs of the affinity mask, which cKDTree, resolving -1
+    # as os.cpu_count(), would not
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    seen, real = [], knn.NeighborIndex._rank_distances
+
+    def recorded(self, queries, ranks, workers):
+        seen.append(workers)
+        return real(self, queries, ranks, workers)
+
+    monkeypatch.setattr(knn.NeighborIndex, "_rank_distances", recorded)
+    pts = _rng(8).normal(size=(60, 2))
+    idx = knn.build_index(pts)
+    want = knn.brute_kth_nn_cross(pts[:20] + 0.25, pts, 4)
+    assert np.array_equal(knn.kth_nn_cross(pts[:20] + 0.25, idx, 4, workers=-1), want)
+    assert np.array_equal(knn.kth_nn_within(idx, 4, workers=-1), knn.brute_kth_nn_within(pts, 4))
+    assert seen and set(seen) == {1}
+
+
+def test_every_brute_force_distance_comes_from_one_kernel(monkeypatch):
+    # the oracle, the d > 15 screen's recompute and the 1-D window form
+    # their squared distances in _smallest_squares alone, which is what
+    # keeps the routes bitwise the oracle
+    routes = ("_certified_candidates", "_window_rank_distances", "_brute_rank_distances")
+    callers, real = [], knn._smallest_squares
+
+    def recorded(diff, kq):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name not in routes:
+            frame = frame.f_back
+        callers.append(frame.f_code.co_name)
+        return real(diff, kq)
+
+    monkeypatch.setattr(knn, "_smallest_squares", recorded)
+    rng = _rng(9)
+    pts, queries = rng.normal(size=(300, 20)), rng.normal(size=(40, 20))
+    want = knn.brute_kth_nn_cross(queries, pts, 5)
+    assert callers and set(callers) == {"_brute_rank_distances"}
+    callers.clear()
+    assert np.array_equal(knn.kth_nn_cross(queries, knn.build_index(pts), 5), want)
+    assert callers and set(callers) == {"_certified_candidates"}
+    line = np.sort(rng.normal(size=50))
+    q = rng.normal(size=30)
+    callers.clear()
+    got = knn._window_rank_distances(q, line, (1, 4))
+    assert callers == ["_window_rank_distances"]
+    assert np.array_equal(got, knn._brute_rank_distances(q[:, None], line[:, None], (1, 4)))
 
 
 def test_queries_are_deterministic():

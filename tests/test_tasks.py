@@ -10,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divknn import tasks
+from divknn.dataset import DivergenceMatrix
 from divknn.errors import (
     ConfigError,
     ContractError,
     FlatAffinityError,
     UndefinedAUCError,
 )
-from divknn.estimators import DivergenceMatrix
 
 
 def _rng(seed):
@@ -88,6 +88,21 @@ def test_mds_is_deterministic():
     assert np.array_equal(a.coords, b.coords)
 
 
+def test_value_types_copy_the_callers_array():
+    # the caller's array stays writable, and writing to it leaves the
+    # embedding or the scores as they were
+    coords, score = np.array([[1.0], [-1.0]]), np.array([0.5, 2.0])
+    made = [tasks.Embedding(("a", "b"), coords, (2.0,)),
+            tasks.AnomalyScores(("a", "b"), score)]
+    assert coords.flags.writeable and score.flags.writeable
+    coords[0, 0], score[0] = 7.0, 7.0
+    assert made[0].coords.tolist() == [[1.0], [-1.0]]
+    assert made[1].score.tolist() == [0.5, 2.0]
+    for values in (made[0].coords, made[1].score):
+        with pytest.raises(ValueError):
+            values[0] = 3.0
+
+
 def test_mds_validation():
     w = _matrix(_euclidean(_rng(3).normal(size=(5, 2))))
     with pytest.raises(ConfigError):
@@ -148,6 +163,26 @@ def test_spectral_cluster_flat_matrix_raises():
     vals = np.zeros((9, 9))
     with pytest.raises(FlatAffinityError):
         tasks.spectral_cluster(_matrix(vals), 2, seed=0)
+
+
+def test_lloyd_revives_an_empty_cluster_with_the_worst_fit_point():
+    # no point is nearest to the third center, so it takes the point that
+    # fits its own cluster worst, (0, 0.1) at the first pass
+    points = np.array([[0.0, 0.0], [0.0, 0.1], [10.0, 10.0], [10.0, 10.1]])
+    centers = np.array([[0.0, 0.0], [10.0, 10.0], [100.0, 100.0]])
+    assign, inertia = tasks._lloyd(points, centers)
+    assert assign.tolist() == [0, 2, 1, 1]
+    assert inertia == pytest.approx(0.005)
+
+
+def test_kmeans_on_identical_points_seeds_and_revives_uniformly():
+    # every squared distance is 0, so k-means++ draws each center
+    # uniformly; every center is the same point, all points go to
+    # cluster 0, and the empty clusters 1 and 2 each revive point 0
+    points = np.ones((5, 2))
+    for seed in range(3):
+        got = tasks._kmeans(points, 3, _rng(seed))
+        assert got.tolist() == [2, 0, 0, 0, 0]
 
 
 def test_spectral_cluster_validation():

@@ -7,10 +7,12 @@ the changed checkout:
     mkdir ../parent && git archive <parent-commit> | tar -x -C ../parent
     python3 scripts/bench_pairs.py --parent ../parent --out BENCH_<name>.json
 
-For every workload, ten pairs each run ``divbench/run.py --workload W
+For every workload, or for each one named by ``--workload NAME``
+(repeatable), ten pairs each run ``divbench/run.py --workload W
 --seed S --seconds T`` once in the parent copy and once in this
 checkout, with a fresh seed per pair and ``T`` the ``run_seconds`` of
 ``BENCHMARK.json``; which side runs first alternates from pair to pair.
+A workload's seeds are the same whichever workloads a run includes.
 The JSON object that ``run.py`` prints on its last line is the result of
 a run. A run that exits non-zero, whose last line is not a JSON object, or
 that outlives ``10 T`` plus a minute of set-up is a failed run; its
@@ -129,14 +131,21 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
     ap.add_argument("--out", required=True, type=Path, help="output BENCH_*.json path")
     ap.add_argument("--first-seed", type=int, default=1, help="seed of the first pair")
+    ap.add_argument("--workload", action="append", dest="workloads", metavar="NAME",
+                    help="a workload of BENCHMARK.json to run (repeatable; default all)")
     args = ap.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [wl["name"] for wl in bench["workloads"]]
+    unknown = sorted(set(args.workloads or ()) - set(names))
+    if unknown:
+        ap.error(f"unknown workload {', '.join(unknown)}; BENCHMARK.json has {', '.join(names)}")
     seconds = bench["run_seconds"]
     checkouts = {"parent": args.parent.resolve(), "change": ROOT}
     report = {"seconds": seconds, "pairs": PAIRS, "machine": None, "workloads": {}}
-    for w, wl in enumerate(bench["workloads"]):
-        name = wl["name"]
+    for w, name in enumerate(names):
+        if args.workloads and name not in args.workloads:
+            continue
         seeds = [args.first_seed + w * PAIRS + i for i in range(PAIRS)]
         pairs, firsts = [], []
         for i, seed in enumerate(seeds):

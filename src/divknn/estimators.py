@@ -134,14 +134,21 @@ def _screen_rho(rho: np.ndarray) -> None:
 
 def _alpha_terms(log_rho, nu, n, m, d, alpha):
     # ((n-1) rho^d / (m nu^d))^(1-alpha) from log rho_k, evaluated in log
-    # space so that rho^d / nu^d never overflows on its own.
-    oma = 1.0 - alpha
-    log_ratio = d * (log_rho - np.log(nu)) + math.log(n - 1) - math.log(m)
-    return np.exp(oma * log_ratio)
+    # space so that rho^d / nu^d never overflows on its own:
+    # exp((1 - alpha) (d (log rho - log nu) + log(n-1) - log m)), each
+    # step in place in one new array.
+    t = np.log(nu)
+    np.subtract(log_rho, t, out=t)
+    t *= d
+    t += math.log(n - 1)
+    t -= math.log(m)
+    t *= 1.0 - alpha
+    return np.exp(t, out=t)
 
 
 def _integral_estimate(log_rho, nu, n, m, d, alpha, b) -> float:
-    est = float(_alpha_terms(log_rho, nu, n, m, d, alpha).mean() * b)
+    # the sum and the division of .mean(), n being the number of terms
+    est = float(np.add.reduce(_alpha_terms(log_rho, nu, n, m, d, alpha)) / n * b)
     # A zero, infinite or NaN integral has no finite log.
     if not 0.0 < est < math.inf:
         raise NonFiniteEstimateError(

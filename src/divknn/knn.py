@@ -20,11 +20,14 @@ built:
   after the midpoints of points r apart that lie below the query. With
   the queries sorted, one search per point or midpoint and rank over the
   sorted queries places every query's bracket or run, and a check of a
-  run's two outer neighbours proves it, ties included; the few rows that
-  fail it take a 2kq-wide sorted window (kq the largest rank asked for).
-  Queries that arrive unsorted are sorted first and their rows put back.
-  The within-sample query and a matrix build (through a ``QueryBatch``)
-  pass theirs sorted already;
+  run's two outer neighbours proves it, ties included. Sorted queries
+  that share a run form a segment, on which each neighbour's check holds
+  on a prefix or a suffix of the rows, so it is made at the segment's
+  first and last row, and row by row only in a segment that fails at an
+  end; the few rows that fail it take a 2kq-wide sorted window (kq the
+  largest rank asked for). Queries that arrive unsorted are sorted
+  first and their rows put back. The within-sample query and a matrix
+  build (through a ``QueryBatch``) pass theirs sorted already;
 * 2 <= d <= 15, kd-tree: a balanced ``scipy.spatial.cKDTree``,
   imported when the first such index is built, so that 1-D and d > 15
   runs never load ``scipy.spatial``;
@@ -44,10 +47,17 @@ built:
 
 A route returns only the neighbor ranks its caller reads, not the whole
 sorted table of the nearest distances: the within-sample query reads
-rank k + 1 (the self match takes rank 1), the cross-sample query ranks
-1 and k, and rank k + 1 only for the rows whose rank 1 is a
-coincidence. The kd-tree route passes the ranks to ``cKDTree.query``;
-the brute-force route sorts a row's candidates and keeps those columns.
+rank k + 1 (the self match takes rank 1), the cross-sample query rank
+k, and rank k + 1 only for the rows that coincide with an indexed point,
+at a rank-1 distance of 0. On the kd-tree and the d > 15 route, where
+rank 1 comes with rank k at little cost, the cross-sample query asks for
+ranks 1 and k and finds the coincidences on rank 1. On the line, where
+rank 1 for every row would cost most of what rank k does, it asks for
+rank k alone: a square underflows to 0 only for a difference below
+2**-537.5, so one search of the points into the sorted queries finds the
+few queries within 2**-536 of a point, and rank 1 is taken for those
+alone. The kd-tree route passes the ranks to ``cKDTree.query``; the
+brute-force route sorts a row's candidates and keeps those columns.
 
 The sorted-line and brute-force routes work through their queries in
 blocks of rows whose temporaries stay within one byte budget,
@@ -220,7 +230,8 @@ def _line_rank_distances(q: np.ndarray, line: np.ndarray, ranks: tuple) -> np.nd
 
     The squared distances a_j = (q - c_j)**2, formed as brute force forms
     them, never rise over the points c_j <= q and never fall over the
-    points c_j >= q, rounding included.
+    points c_j >= q, rounding included: fl(q - c) is monotone in q and in
+    c, and rounding a square monotone in |x|.
 
     Rank 1 is therefore the smaller of the squares of the two points
     around q: c_(p-1), the last point below q, and c_p, the first at or
@@ -232,24 +243,41 @@ def _line_rank_distances(q: np.ndarray, line: np.ndarray, ranks: tuple) -> np.nd
     sum cannot overflow). v = max(a_i0, a_(i0+r-1)) is then the r-th
     smallest if no point outside the run is nearer. That holds, ties
     included, when the run's outer neighbours lie beyond q and are at
-    least v: c_(i0-1) <= q and a_(i0-1) >= v, and c_(i0+r) >= q and
-    a_(i0+r) >= v, a missing neighbour counting as infinitely far.
-    Rounding moves a run only where a midpoint rounds up onto or past q:
-    the right-hand check then fails (and either may on subnormal points,
-    whose halves round). The rows that fail it are answered by
-    _window_rank_distances.
+    least v: c_(i0-1) <= q and a_(i0-1) >= v (the left check), and
+    c_(i0+r) >= q and a_(i0+r) >= v (the right check), a missing
+    neighbour counting as infinitely far. Rounding moves a run only where
+    a midpoint rounds up onto or past q: the right-hand check then fails
+    (and either may on subnormal points, whose halves round). The rows
+    that fail a check are answered by _window_rank_distances.
+
+    The checks are made on segments, not rows. The sorted rows of a block
+    that share a run start i0 form a segment, and on a segment the left
+    check holds on a suffix of the rows and the right check on a prefix.
+    For the left check take rows q <= q' of a segment, c = c_(i0-1) and e
+    either end of the run, so c <= e. Let the check hold at q: c <= q and
+    (q - c)**2 >= v(q). Then c <= q', and (q' - c)**2 >= (q - c)**2 by the
+    monotonicity above. Where e >= q', 0 <= e - q' <= e - q, so the square
+    of e at q' is at most its square at q, at most v(q) <= (q' - c)**2;
+    where e < q', 0 < q' - e <= q' - c, so it is at most (q' - c)**2
+    directly. So v(q') <= (q' - c)**2 and the check holds at q'. The right
+    check mirrors this with q' <= q. So a segment whose first row passes
+    the left check and whose last row passes the right check passes on
+    every row, and only the rows of a segment that fails at an end are
+    checked one by one: the rows sent to the window are exactly those a
+    check of every row sends. The run's two end values and the outer
+    neighbours are taken once per segment and repeated over its rows.
 
     p and i0 come from a merge of the points or midpoints into the
     queries, taken in sorted order (argsorted first only if they are
     not, and their rows put back afterwards). With pos_t the number of
     queries at or below value t, one search per value, value t lies
-    below query i exactly when pos_t <= i; so the counts of a block of
-    query rows are the value numbers repeated over the gaps between the
-    pos_t that fall inside it, the same counts that a search per query
-    would find.
+    below query i exactly when pos_t <= i; so a block's segments are the
+    value numbers between the pos_t that fall inside it, the same run
+    starts that a search per query would find (_run_segments).
 
-    A block's row holds the count, up to four gathered, subtracted or
-    squared values, a few masks and its results.
+    A block's row holds its results and either the two squares a result
+    is formed from or, in a segment checked one by one, its row number,
+    query, v and one outer neighbour, with a few masks.
     """
     n, m = q.shape[0], line.shape[0]
     by = None
@@ -268,20 +296,32 @@ def _line_rank_distances(q: np.ndarray, line: np.ndarray, ranks: tuple) -> np.nd
         qb, ok = q[rows], exact[rows]
         table = np.empty((len(qb), len(ranks)))
         for j, (r, p) in enumerate(zip(ranks, pos)):
-            i0 = _run_starts(p, rows.start, rows.start + len(qb))
-            v = (qb - padded[1:].take(i0)) ** 2
-            if r == 1:
-                # c_(p-1) is padded[p], c_p is padded[p + 1]
-                np.minimum(v, (qb - padded.take(i0)) ** 2, out=v)
-            else:
-                np.maximum(v, (qb - padded[r:].take(i0)) ** 2, out=v)
-                for shift, beyond in ((0, np.less_equal), (r + 1, np.greater_equal)):
-                    c = padded[shift:].take(i0)
-                    ok &= beyond(c, qb) & ((qb - c) ** 2 >= v)
-            table[:, j] = v
+            runs, counts = _run_segments(p, rows.start, rows.start + len(qb))
+            # rank 1: c_p and c_(p-1), the points around q, are padded[p + 1]
+            # and padded[p]; else the run's ends c_i0 and c_(i0+r-1)
+            v = table[:, j]
+            (np.minimum if r == 1 else np.maximum)(
+                _repeated_squares(qb, padded[1:].take(runs), counts),
+                _repeated_squares(qb, padded[r if r > 1 else 0:].take(runs), counts), out=v)
+            if r > 1:
+                lasts = np.cumsum(counts) - 1
+                firsts = lasts - (counts - 1)
+                # c_(i0-1) and c_(i0+r), the run's outer neighbours, at i0
+                left, right = padded, padded[r + 1:]
+                sure = (_beyond(qb[firsts], v[firsts], left.take(runs), np.less_equal)
+                        & _beyond(qb[lasts], v[lasts], right.take(runs), np.greater_equal))
+                if not sure.all():
+                    # the segments that fail at an end, row by row
+                    unsure = np.flatnonzero(~sure)
+                    runs, counts = runs[unsure], counts[unsure]
+                    at = _ranges(firsts[unsure], counts)
+                    qe, ve = qb.take(at), v.take(at)
+                    ok[at] &= (
+                        _beyond(qe, ve, np.repeat(left.take(runs), counts), np.less_equal)
+                        & _beyond(qe, ve, np.repeat(right.take(runs), counts), np.greater_equal))
         return np.sqrt(table, out=table)
 
-    out = _in_blocks(n, (6 + len(ranks)) * 8, len(ranks), block)
+    out = _in_blocks(n, (5 + len(ranks)) * 8, len(ranks), block)
     redo = np.flatnonzero(~exact)
     if redo.size:
         out[redo] = _window_rank_distances(q[redo], line, ranks)
@@ -290,16 +330,90 @@ def _line_rank_distances(q: np.ndarray, line: np.ndarray, ranks: tuple) -> np.nd
     return out
 
 
-def _run_starts(pos: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """The run starts of sorted query rows start..stop-1: for row i, the
-    number of values t (points or midpoints) with pos[t] <= i, where
-    pos[t] (ascending) is the number of queries at or below value t.
-    Value numbers repeated over the gaps between the pos[t] inside the
+def _run_segments(pos: np.ndarray, start: int, stop: int) -> tuple:
+    """The run starts of sorted query rows start..stop-1 as segments: the
+    run starts, ascending, and the number of rows of each, at least one.
+    Row i's run start is the number of values t (points or midpoints)
+    with pos[t] <= i, where pos[t] (ascending) is the number of queries at
+    or below value t: the value numbers change at the pos[t] inside the
     rows."""
     lo, hi = int(pos.searchsorted(start, "right")), int(pos.searchsorted(stop - 1, "right"))
     edges = np.empty(hi - lo + 2, pos.dtype)
     edges[0], edges[1:-1], edges[-1] = start, pos[lo:hi], stop
-    return np.repeat(np.arange(lo, hi + 1), edges[1:] - edges[:-1])
+    counts = edges[1:] - edges[:-1]
+    runs = np.flatnonzero(counts)
+    return runs + lo, counts.take(runs)
+
+
+def _repeated_squares(q: np.ndarray, values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(q - c)**2 for each query row, c the value of its segment (values
+    repeated by counts), formed in one buffer."""
+    out = np.repeat(values, counts)
+    np.subtract(q, out, out=out)
+    return np.square(out, out=out)
+
+
+def _beyond(q: np.ndarray, v: np.ndarray, c: np.ndarray, side) -> np.ndarray:
+    """Whether each c lies beyond q, ``side(c, q)``, at a square (q - c)**2
+    of at least v; c is overwritten."""
+    ok = side(c, q)
+    np.subtract(q, c, out=c)
+    ok &= np.square(c, out=c) >= v
+    return ok
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The integers starts[j] .. starts[j] + counts[j] - 1, for each j in turn."""
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(counts.sum())
+
+
+# 2**-536, a float above 2**-537.5: a difference x with fl(x**2) = 0 has
+# |x| < 2**-537.5, and so |fl(q - c)| < _COINCIDENT implies |q - c| < _COINCIDENT
+_COINCIDENT = 2.0**-536
+
+
+def _line_kth_and_coincident(queries: np.ndarray, line: np.ndarray, k: int,
+                             rank_distances) -> tuple:
+    """What _kth_cross reads from ranks (1, k) for d = 1 queries against
+    ``line``, the sorted sample, without rank 1 for every row: the rank-k
+    distances (``rank_distances(qs, (k,))``) and the rows, ascending,
+    whose rank-1 distance is 0.
+
+    A rank-1 distance is 0 when the square of some fl(q - c) underflows to
+    0, |fl(q - c)| < 2**-537.5. Rounding is monotone and 2**-536 is a
+    float, so |q - c| >= 2**-536 would give |fl(q - c)| >= 2**-536:
+    such a q lies within 2**-536 of c, and is at least fl(c - 2**-536) and
+    at most fl(c + 2**-536). One search of the points into the sorted
+    queries gives each point's nearest query at or below it and above it.
+    A query farther on the same side has an |fl(q - c)| at least as large,
+    so only a point one of whose two queries has |fl(q - c)| < 2**-536
+    can meet such a q.
+    Two searches of those few points' intervals bracket the candidate
+    rows, which take the rank-1 formula of _line_rank_distances: the rows
+    found are the rows whose rank-1 distance is 0. Queries that arrive
+    unsorted are sorted once for both parts and their rows put back.
+    """
+    q = queries[:, 0]
+    by = None
+    if (q[1:] < q[:-1]).any():
+        by = np.argsort(q, kind="stable")
+        q = q[by]
+    out = rank_distances(q[:, None], (k,))[:, 0]
+    pos = np.searchsorted(q, line, "right")
+    # a point with no query on one side compares with the other side's twice
+    near = ((np.abs(line - q.take(pos - 1, mode="clip")) < _COINCIDENT)
+            | (np.abs(q.take(pos, mode="clip") - line) < _COINCIDENT))
+    rows = np.empty(0, np.intp)
+    if near.any():
+        c = line[near]
+        lo = np.searchsorted(q, c - _COINCIDENT, "left")
+        rows = np.unique(_ranges(lo, np.searchsorted(q, c + _COINCIDENT, "right") - lo))
+        rows = rows[_line_rank_distances(q[rows], line, (1,))[:, 0] == 0.0]
+    if by is not None:
+        out[by] = out.copy()
+        rows = np.sort(by[rows])
+    return out, rows
 
 
 def _window_rank_distances(q: np.ndarray, line: np.ndarray, ranks: tuple) -> np.ndarray:
@@ -538,8 +652,10 @@ class _Workspace:
 
 def _thread_count(workers) -> int:
     """The threads that ``workers`` asks for: at -1 every CPU this process
-    may run on (its affinity mask, where the platform has one), else workers."""
-    if not (isinstance(workers, (int, np.integer)) and (workers == -1 or workers >= 1)):
+    may run on (its affinity mask, where the platform has one), else workers.
+    A bool is no thread count, though Python's is an int."""
+    if not (isinstance(workers, (int, np.integer)) and not isinstance(workers, bool)
+            and (workers == -1 or workers >= 1)):
         raise ConfigError(f"workers must be -1 or a positive integer, got {workers!r}")
     if workers != -1:
         return int(workers)
@@ -585,7 +701,8 @@ def kth_nn_cross(query_points, index: NeighborIndex, k: int, *, workers: int = 1
             f"query dimension {queries.shape[1]} != index dimension {index.dim}"
         )
     return _kth_cross(queries, index.size, k,
-                      lambda qs, ranks: index._rank_distances(qs, ranks, workers))
+                      lambda qs, ranks: index._rank_distances(qs, ranks, workers),
+                      index.tree if index.dim == 1 else None)
 
 
 def _kth_within(n: int, k: int, rank_distances) -> np.ndarray:
@@ -604,11 +721,14 @@ def _kth_within(n: int, k: int, rank_distances) -> np.ndarray:
     return rank_distances((k + 1,))[:, 0]
 
 
-def _kth_cross(queries: np.ndarray, m: int, k: int, rank_distances) -> np.ndarray:
+def _kth_cross(queries: np.ndarray, m: int, k: int, rank_distances,
+               line: np.ndarray | None = None) -> np.ndarray:
     """k-th nearest of m indexed points per query, a coincidence excluded.
 
     ``rank_distances(qs, ranks)`` returns the distances of the query rows
-    qs to the indexed points of the given neighbor ranks.
+    qs to the indexed points of the given neighbor ranks. ``line``, the
+    sorted points of a 1-D index, lets k > 1 ask for rank k alone and find
+    the coincident rows by a search (_line_kth_and_coincident).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -619,9 +739,11 @@ def _kth_cross(queries: np.ndarray, m: int, k: int, rank_distances) -> np.ndarra
     # Rank 1 finds a coincidence and rank k is the answer without one;
     # rank k+1, the answer with one, is computed for the coincident rows
     # alone.
-    dist = rank_distances(queries, (1, k) if k > 1 else (1,))
-    out = dist[:, -1].copy()
-    coincident = np.flatnonzero(dist[:, 0] == 0.0)
+    if line is None or k == 1:
+        dist = rank_distances(queries, (1, k) if k > 1 else (1,))
+        out, coincident = np.ascontiguousarray(dist[:, -1]), np.flatnonzero(dist[:, 0] == 0.0)
+    else:
+        out, coincident = _line_kth_and_coincident(queries, line, k, rank_distances)
     if coincident.size:
         if k == m:
             raise InsufficientSampleError(

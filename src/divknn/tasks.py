@@ -89,6 +89,18 @@ class AnomalyScores:
         object.__setattr__(self, "ids", tuple(self.ids))
 
 
+def _is_count(k) -> bool:
+    """Whether k is an int or numpy integer, and no bool."""
+    return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+
+
+def _require_finite(w: np.ndarray) -> None:
+    """A divergence table with a NaN or infinite entry raises, as a
+    DivergenceMatrix does, instead of being ranked around it."""
+    if not np.isfinite(w).all():
+        raise ContractError("divergence table contains non-finite entries")
+
+
 def _require_symmetric(w: DivergenceMatrix) -> np.ndarray:
     if not w.is_symmetric():
         raise ContractError("matrix must be symmetrized first")
@@ -310,8 +322,9 @@ def knn_classify(w_test_train: np.ndarray, train_labels, k_vote: int) -> list[st
         raise ContractError(
             f"{len(labels)} training labels vs {w.shape[1]} columns"
         )
-    if not 1 <= k_vote <= len(labels):
-        raise ConfigError(f"k_vote must lie in [1, {len(labels)}], got {k_vote}")
+    if not (_is_count(k_vote) and 1 <= k_vote <= len(labels)):
+        raise ConfigError(f"k_vote must be an integer in [1, {len(labels)}], got {k_vote!r}")
+    _require_finite(w)
     out = []
     for row in w:
         nearest = np.argsort(row, kind="stable")[:k_vote]
@@ -378,10 +391,11 @@ def anomaly_scores(ids, w_test_train: np.ndarray, k_anom: int = 5) -> AnomalySco
     if w.ndim != 2 or w.shape[0] != len(tuple(ids)):
         raise ContractError(f"divergence table shape {w.shape} does not match "
                             f"{len(tuple(ids))} ids")
-    if not 1 <= k_anom <= w.shape[1]:
+    if not (_is_count(k_anom) and 1 <= k_anom <= w.shape[1]):
         raise ContractError(
-            f"k_anom must lie in [1, {w.shape[1]}], got {k_anom}"
+            f"k_anom must be an integer in [1, {w.shape[1]}], got {k_anom!r}"
         )
+    _require_finite(w)
     score = np.partition(w, k_anom - 1, axis=1)[:, k_anom - 1]
     return AnomalyScores(tuple(ids), score)
 

@@ -1,5 +1,5 @@
-"""scripts/bench_pairs.py: how each run against a stub checkout ended, and the
-gain flag summarize gives synthetic pairs."""
+"""scripts/bench_pairs.py: how each run against a stub checkout ended, the
+gain flag summarize gives synthetic pairs, and the workloads a run covers."""
 
 import importlib.util
 import json
@@ -108,3 +108,27 @@ def test_gain_needs_nine_in_ten_wins_and_a_median_past_the_parents_iqr(
     declared = [{"name": "wall_s", "unit": "s", "better": better, "bound": 0.25}]
     got = bench_pairs.summarize(_pairs(_PARENT, change), declared)["wall_s"]
     assert (got["change_wins"], got["pairs"], got["gain"]) == (wins, 10, gain)
+
+
+def test_a_run_restricted_to_one_workload_writes_only_that_workload(
+        bench_pairs, tmp_path, monkeypatch):
+    declared = json.loads((_SCRIPT.parent.parent / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: {"value": 1.0} for m in declared["end_to_end"]}
+    ran = []
+
+    def fake_run(checkout, workload, seed, seconds, trace, timeout=None):
+        ran.append((workload, seed))
+        return {"ok": True, "result": {"metrics": metrics, "correct": True}, "machine": None}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path), "--out", str(out),
+                             "--workload", "highdim"]) == 0
+    report = json.loads(out.read_text())
+    assert list(report["workloads"]) == ["highdim"]
+    assert {w for w, _ in ran} == {"highdim"}
+    # the seeds a run of every workload gives highdim
+    first = 1 + [w["name"] for w in declared["workloads"]].index("highdim") * bench_pairs.PAIRS
+    assert report["workloads"]["highdim"]["seeds"] == list(range(first, first + bench_pairs.PAIRS))
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--parent", str(tmp_path), "--out", str(out), "--workload", "nope"])

@@ -1109,6 +1109,25 @@ def test_bad_workers_rejected_before_any_preparation(monkeypatch, build, workers
     assert calls == []
 
 
+@pytest.mark.parametrize("d", [1, 2, 20])  # sorted line, kd-tree, screened brute force
+@pytest.mark.parametrize("workers", [True, False, np.True_])
+def test_a_bool_is_no_thread_count(d, workers):
+    # True is an int to Python, but no thread count: the queries, the
+    # matrix build and the pair estimators all reject it, on every route
+    rng = _rng(17)
+    x, y = rng.normal(size=(30, d)), rng.normal(size=(25, d))
+    idx = knn.build_index(x)
+    ds = Dataset((Group("a", x), Group("b", y)))
+    calls = [lambda: knn.kth_nn_within(idx, 3, workers=workers),
+             lambda: knn.kth_nn_cross(y, idx, 3, workers=workers),
+             lambda: est.divergence_matrix(ds, est.EstimatorConfig("renyi", 0.5, 3),
+                                           workers=workers),
+             lambda: est.renyi_divergence(x, y, 3, 0.5, workers=workers)]
+    for call in calls:
+        with pytest.raises(ConfigError, match="workers must be -1 or a positive integer"):
+            call()
+
+
 @settings(max_examples=10, deadline=None)
 @given(order=st.permutations(range(5)))
 @pytest.mark.parametrize("cfg", [est.EstimatorConfig("renyi", 0.5, 5),

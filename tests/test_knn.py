@@ -365,8 +365,9 @@ def test_merged_run_starts_equal_one_search_per_query(seed, m, n, r, decimals, s
                                                       on, step):
     # The d = 1 route counts, for each of the sorted queries, the
     # midpoints below it by merging: one search per midpoint for pos_t,
-    # the queries at or below it, then the midpoint numbers repeated over
-    # the gaps between the pos_t of each block of rows. That must be
+    # the queries at or below it, then the midpoint numbers between the
+    # pos_t of each block of rows, as segments of rows with one run start
+    # each. Repeated over their rows, the segments' run starts must be
     # np.searchsorted(mid, q) exactly: with duplicate points and queries,
     # queries on a point or on the decimal midpoint of two, midpoints that
     # round, the scales where the route's squares underflow or overflow,
@@ -389,8 +390,10 @@ def test_merged_run_starts_equal_one_search_per_query(seed, m, n, r, decimals, s
     half = line * 0.5
     mid = half[:m - r] + half[r:]
     pos = np.searchsorted(q, mid, "right")
-    got = np.concatenate([knn._run_starts(pos, start, min(start + step, n))
-                          for start in range(0, n, step)])
+    segments = [knn._run_segments(pos, start, min(start + step, n))
+                for start in range(0, n, step)]
+    assert all((np.diff(runs) > 0).all() and (counts >= 1).all() for runs, counts in segments)
+    got = np.concatenate([np.repeat(runs, counts) for runs, counts in segments])
     assert got.dtype.kind == "i"
     assert np.array_equal(got, np.searchsorted(mid, q))
 
@@ -422,6 +425,89 @@ def test_line_route_sends_as_many_rows_to_the_window_as_a_search_per_query(
         assert fell[0] == fallback
         order = np.argsort(queries, kind="stable")
         assert np.array_equal(got[order], want[np.argsort(runs, kind="stable")])
+
+
+def _per_row_fallback(q, line, ranks):
+    """The sorted queries q that a check of every row sends to the window:
+    those whose run at some rank r >= 2, starting after the midpoints
+    below q, has an outer neighbour on q's side or nearer than the run's
+    farther end (an infinitely far one where the sample ends)."""
+    m, half = len(line), line * 0.5
+    padded = np.concatenate(([-np.inf], line, [np.inf]))
+    fails = np.zeros(len(q), dtype=bool)
+    for r in ranks:
+        if r == 1:
+            continue
+        i0 = np.searchsorted(half[:m - r] + half[r:], q)
+        v = np.maximum((q - line[i0]) ** 2, (q - line[i0 + r - 1]) ** 2)
+        below, above = padded[i0], padded[i0 + r + 1]
+        fails |= ~((below <= q) & ((q - below) ** 2 >= v)
+                   & (above >= q) & ((q - above) ** 2 >= v))
+    return q[fails]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kq=st.integers(2, 40),
+    extra=st.integers(0, 2**16),
+    n=st.integers(1, 200),
+    with_one=st.booleans(),
+    decimals=st.sampled_from([None, 0, 1, 2, 3]),
+    scale_exp=st.one_of(st.floats(-6.0, 6.0), st.floats(-163.0, -157.0),
+                        st.floats(152.0, 155.0), st.floats(-318.0, -306.0)),
+    on=st.sampled_from(["nothing", "points", "midpoints"]),
+    block_bytes=st.one_of(st.integers(1, 2**14), st.just(2**20)),
+)
+def test_segment_end_checks_send_the_rows_a_check_of_every_row_sends(
+        monkeypatch, seed, kq, extra, n, with_one, decimals, scale_exp, on, block_bytes):
+    # The line route checks a run segment, the sorted rows of a block that
+    # share a run start, at its first and last row, and row by row only
+    # where an end fails. The rows it sends to the window must be the rows
+    # a check of every row sends, and its values the oracle's, bit for
+    # bit: on rounded data, which makes ties and duplicate points, with
+    # queries on points and on decimal midpoints, at scales where squares
+    # underflow or overflow or the points are subnormal, and with blocks
+    # that cut segments anywhere.
+    m = kq + extra % (2 * kq + 4)
+    rng = _rng(seed)
+
+    def rounded(x):
+        return x if decimals is None else np.round(x, decimals)
+
+    grid = rounded(rng.normal(size=m) * 3.0)
+    q = rounded(rng.normal(size=n) * 3.0)
+    pick = rng.integers(0, m, size=(2, len(q[::2])))
+    if on == "points":
+        q[::2] = grid[pick[0]]
+    elif on == "midpoints":
+        q[::2] = rounded((grid[pick[0]] + grid[pick[1]]) / 2.0)
+    scale = 10.0 ** scale_exp
+    line, q = np.sort(grid * scale), np.sort(q * scale)
+    ranks = (1, kq) if with_one else (kq,)
+    sent = []
+    real = knn._window_rank_distances
+
+    def recorded(queries, *args):
+        sent.append(queries.copy())
+        return real(queries, *args)
+
+    monkeypatch.setattr(knn, "_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(knn, "_window_rank_distances", recorded)
+    fell = _count_rows(monkeypatch, "_window_rank_distances")
+    with warnings.catch_warnings():
+        # squares near 1e154 overflow in the route and the oracle alike
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            got = knn._line_rank_distances(q, line, ranks)
+        finally:
+            monkeypatch.undo()
+        want = knn._brute_rank_distances(q[:, None], line[:, None], ranks)
+        reference = _per_row_fallback(q, line, ranks)
+    assert fell[0] == len(reference)
+    assert np.array_equal(np.concatenate(sent) if sent else q[:0], reference)
+    assert np.array_equal(got, want)
 
 
 def test_line_route_falls_back_where_a_midpoint_rounds_across_q(monkeypatch):
@@ -494,6 +580,38 @@ def test_line_rank_one_is_the_nearer_of_the_two_points_around_q(
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("exp", [-600, -560, -537, -300, -30, 0, 10])
+@pytest.mark.parametrize("sort", [False, True])
+def test_coincidences_at_the_underflow_edge(exp, sort):
+    # A query coincides with a point when their squared difference is 0,
+    # and that square underflows to 0 from |q - c| < 2**-537.5: 2**-538
+    # away is a coincidence, 2**-537 and 2**-536 are not. The line finds
+    # candidates within 2**-536 of each point by a search and takes rank 1
+    # on them alone; every value, and every error with its message (too
+    # few points once a coincidence is excluded, or a duplicate point at
+    # the query), must be the oracle's, for points at magnitudes from
+    # 2**-600 to 2**10, of either sign, among points of unit spread, with
+    # and without a duplicate point, sorted or not.
+    rng = _rng(exp + 1000)
+    edge = np.ldexp(np.array([1.0, 1.25, 1.75]) * rng.choice([-1.0, 1.0]), exp)
+    pts = np.concatenate((edge, np.round(rng.normal(size=9) * 3.0, 1)))
+    duplicated = pts.copy()
+    duplicated[4] = duplicated[8]
+    picks = rng.integers(0, len(pts), size=30)
+    for offset in (0.0, 2.0**-538, -2.0**-538, 2.0**-537, -2.0**-537, 2.0**-536, -2.0**-536):
+        # each point's nearest queries are the offset away, or nearer
+        queries = np.concatenate((pts + offset, pts[picks] + offset))
+        if sort:
+            queries.sort()
+        for sample in (pts, duplicated):
+            idx = knn.build_index(sample[:, None])
+            for k in (1, 2, 5, len(sample) - 1, len(sample)):
+                _assert_same_outcome(
+                    _outcome(lambda: knn.kth_nn_cross(queries[:, None], idx, k)),
+                    _outcome(lambda: knn.brute_kth_nn_cross(queries[:, None], sample[:, None],
+                                                            k)))
+
+
 def test_line_index_keeps_the_sorting_order():
     # tree is the sorted line (the route reads it), order the stable
     # argsort, so that tree[i] is point order[i]; other routes have none
@@ -528,13 +646,15 @@ def test_cross_asks_for_rank_k_plus_one_only_at_coincidences(monkeypatch, d, k):
     calls = _record_rank_queries(monkeypatch)
     want = knn.brute_kth_nn_cross(queries, pts, k)
     assert np.array_equal(knn.kth_nn_cross(queries, idx, k), want)
-    assert [(len(q), r) for q, r in calls] == [(30, (1, k) if k > 1 else (1,))]
+    # the line asks for rank k alone and finds coincidences by a search
+    first = (k,) if d == 1 and k > 1 else (1, k) if k > 1 else (1,)
+    assert [(len(q), r) for q, r in calls] == [(30, first)]
     calls.clear()
     hits = [2, 3, 17, 29]
     queries[hits] = pts[[0, 40, 7, 0]]
     want = knn.brute_kth_nn_cross(queries, pts, k)
     assert np.array_equal(knn.kth_nn_cross(queries, idx, k), want)
-    assert [r for _, r in calls] == [(1, k) if k > 1 else (1,), (k + 1,)]
+    assert [r for _, r in calls] == [first, (k + 1,)]
     assert np.array_equal(calls[1][0], queries[hits])
 
 

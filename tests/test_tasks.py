@@ -349,6 +349,34 @@ def test_anomaly_scores_bounds():
         tasks.anomaly_scores(["a"], w, k_anom=1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tasks_reject_a_non_finite_table_entry(bad):
+    # a NaN or infinite divergence is not ranked around: it raises, as a
+    # DivergenceMatrix with one does
+    w = np.array([[bad, 0.2, 0.4], [0.1, 0.3, 0.5]])
+    with pytest.raises(ContractError, match="non-finite"):
+        tasks.anomaly_scores(["a", "b"], w, 1)
+    with pytest.raises(ContractError, match="non-finite"):
+        tasks.knn_classify(w, ["a", "b", "b"], 1)
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, True, False, np.True_, "2", None])
+def test_tasks_reject_a_count_that_is_no_integer(k):
+    # a fractional or bool neighbor count raises each function's range
+    # error, not numpy's TypeError, and not what a bool means as an int
+    w = np.array([[0.3, 0.2, 0.4], [0.1, 0.3, 0.5]])
+    with pytest.raises(ContractError, match="k_anom must be an integer in"):
+        tasks.anomaly_scores(["a", "b"], w, k)
+    with pytest.raises(ConfigError, match="k_vote must be an integer in"):
+        tasks.knn_classify(w, ["a", "b", "b"], k)
+
+
+def test_tasks_take_numpy_integer_counts():
+    w = np.array([[0.3, 0.2, 0.4], [0.1, 0.3, 0.5]])
+    assert tasks.anomaly_scores(["a", "b"], w, np.int64(2)).score.tolist() == [0.3, 0.3]
+    assert tasks.knn_classify(w, ["a", "b", "b"], np.int32(1)) == ["b", "a"]
+
+
 def test_auc_hand_cases():
     assert tasks.auc([0.1, 0.2, 0.9, 0.8], [0, 0, 1, 1]) == 1.0
     assert tasks.auc([0.9, 0.8, 0.1, 0.2], [0, 0, 1, 1]) == 0.0

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -55,7 +56,7 @@ from .errors import (
     DivknnError,
     NonFiniteEstimateError,
 )
-from .knn import _thread_count
+from .knn import _is_count, _thread_count
 
 RENYI = "renyi"
 L2 = "l2"
@@ -65,7 +66,9 @@ L2 = "l2"
 class EstimatorConfig:
     """Which divergence to estimate and with what neighbor statistics.
 
-    ``alpha`` is only used by the Renyi estimator. ``symmetrize`` makes
+    ``alpha`` is only used by the Renyi estimator, which requires it to
+    be a finite real number other than 1. ``k`` must be an int or numpy
+    integer, and no bool. ``symmetrize``, a bool or numpy bool, makes
     pairwise matrices hold the average of the two directed estimates.
     """
 
@@ -77,9 +80,17 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.kind not in (RENYI, L2):
             raise ConfigError(f"unknown estimator kind {self.kind!r}; use 'renyi' or 'l2'")
+        if not isinstance(self.symmetrize, (bool, np.bool_)):
+            raise ConfigError(f"symmetrize must be a bool, got {self.symmetrize!r}")
+        _require_count(self.k)
         if self.k < 1:
             raise ConfigError(f"k must be a positive integer, got {self.k}")
         if self.kind == RENYI:
+            if (isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real)
+                    or not math.isfinite(self.alpha)):
+                raise ConfigError(
+                    f"alpha must be a finite real number for the renyi estimator, "
+                    f"got {self.alpha!r}")
             if self.alpha == 1.0:
                 raise ConfigError("alpha must differ from 1 for the renyi estimator")
             if not self.k > 2.0 * abs(self.alpha - 1.0):
@@ -89,6 +100,14 @@ class EstimatorConfig:
                 )
         elif self.k < 3:
             raise ConfigError(f"l2 estimator requires k >= 3, got k={self.k}")
+
+
+def _require_count(k) -> None:
+    """ConfigError unless k is a count (``knn._is_count``): a fractional
+    k would be truncated by the neighbor queries but not by the
+    correction factor."""
+    if not _is_count(k):
+        raise ConfigError(f"k must be a positive integer, got {k!r}")
 
 
 def correction_factor(k: int, alpha: float) -> float:
@@ -164,8 +183,10 @@ def alpha_integral(x, y, k: int, alpha: float, *, workers: int = 1) -> float:
     This is the quantity inside the Renyi divergence before the log
     transform; it equals 1 when p = q. Requires alpha != 1 and
     k > |alpha - 1|. Always strictly positive and finite; an estimate
-    that is not raises NonFiniteEstimateError.
+    that is not raises NonFiniteEstimateError. A k that is no count
+    raises ConfigError.
     """
+    _require_count(k)
     if alpha == 1.0:
         raise ConfigError("alpha must differ from 1")
     b = correction_factor(k, alpha)  # validates k > |alpha - 1|
@@ -246,8 +267,9 @@ def l2_squared(x, y, k: int, *, workers: int = 1) -> float:
     distances raised to the power d that leave float64 range are scaled
     by a power of 2 first, which scales each term exactly; an estimate
     that is still not finite, or underflows to 0, raises
-    NonFiniteEstimateError.
+    NonFiniteEstimateError. A k that is no count raises ConfigError.
     """
+    _require_count(k)
     if k < 3:
         raise ConfigError(f"l2 estimator requires k >= 3 (k - 2 > 0), got k={k}")
     return _pair_value(x, y, k, workers, lambda rho, log_rho, nu, n, m, d:

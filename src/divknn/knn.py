@@ -8,36 +8,37 @@ Two query modes back the divergence estimators:
   point of an indexed sample, excluding an exact coordinate coincidence
   with the query point if there is one.
 
-Three routes answer them, chosen from the dimension d when the index is
-built:
+Three routes answer them, chosen by ``_route_for`` when the index is
+built, from the dimension d alone:
 
-* d = 1, sorted line: on a line a query's squared distances to the
-  sorted sample fall and then rise, rounding included. So its nearest
-  point is the nearer of the two around it, the last point below it and
-  the first at or above it, which needs no check. Its r nearest points
-  are a run of r consecutive sorted points, and the r-th smallest
-  distance is the larger of the run's two end values. The run starts
-  after the midpoints of points r apart that lie below the query. With
-  the queries sorted, one search per point or midpoint and rank over the
-  sorted queries places every query's bracket or run, and a check of a
-  run's two outer neighbours proves it, ties included. Sorted queries
-  that share a run form a segment, on which each neighbour's check holds
-  on a prefix or a suffix of the rows, so it is made at the segment's
-  first and last row, and row by row only in a segment that fails at an
-  end; the few rows that fail it take a 2kq-wide sorted window (kq the
-  largest rank asked for). Queries that arrive unsorted are sorted
-  first and their rows put back. The within-sample query and a matrix
-  build (through a ``QueryBatch``) pass theirs sorted already;
-* 2 <= d <= 15, kd-tree: a balanced ``scipy.spatial.cKDTree``,
-  imported when the first such index is built, so that 1-D and d > 15
-  runs never load ``scipy.spatial``;
-* d > 15, brute force, screened: with the points centered on their
-  mean c, ||p - c||^2 - 2 (q - c).(p - c), one small matrix product per
-  block of query rows, picks the kq + 8 most promising points per row.
-  Their squared distances are then recomputed exactly as the
-  brute-force oracle computes them. A row keeps them when the screen's
-  next value, plus ||q - c||^2 and less a margin that bounds the
-  rounding of the centering, of the screen and of the oracle, is at
+* ``"line"``, d = 1, the sorted line: on a line a query's squared
+  distances to the sorted sample fall and then rise, rounding included.
+  So its nearest point is the nearer of the two around it, the last
+  point below it and the first at or above it, which needs no check. Its
+  r nearest points are a run of r consecutive sorted points, and the
+  r-th smallest distance is the larger of the run's two end values. The
+  run starts after the midpoints of points r apart that lie below the
+  query. With the queries sorted, one search per point or midpoint and
+  rank over the sorted queries places every query's bracket or run, and
+  a check of a run's two outer neighbours proves it, ties included.
+  Sorted queries that share a run form a segment, on which each
+  neighbour's check holds on a prefix or a suffix of the rows, so it is
+  made at the segment's first and last row, and row by row only in a
+  segment that fails at an end; the few rows that fail it take a
+  2kq-wide sorted window (kq the largest rank asked for). Queries that
+  arrive unsorted are sorted first and their rows put back. The
+  within-sample query and a matrix build (through a ``QueryBatch``) pass
+  theirs sorted already;
+* ``"tree"``, 2 <= d <= 15, the kd-tree: a balanced
+  ``scipy.spatial.cKDTree``, imported when the first such index is
+  built, so that 1-D and d > 15 runs never load ``scipy.spatial``;
+* ``"screen"``, d > 15, brute force, screened: with the points centered
+  on their mean c, ||p - c||^2 - 2 (q - c).(p - c), one small matrix
+  product per block of query rows, picks the kq + 8 most promising
+  points per row. Their squared distances are then recomputed exactly as
+  the brute-force oracle computes them. A row keeps them when the
+  screen's next value, plus ||q - c||^2 and less a margin that bounds
+  the rounding of the centering, of the screen and of the oracle, is at
   least the recomputed kq-th value: no other point can then be nearer as
   the oracle computes it. Every other row, such as one whose candidates
   tie with the next point within the margin or whose centered norms
@@ -121,7 +122,8 @@ from scipy.special import gammaln
 
 from .errors import ConfigError, DegenerateDistanceError, InsufficientSampleError
 
-# kd-trees stop paying off in high dimensions; switch to brute force there.
+# kd-trees stop paying off in high dimensions: above this d, _route_for
+# picks the screened brute force.
 BRUTE_FORCE_DIM = 15
 LEAF_SIZE = 16
 
@@ -154,38 +156,42 @@ def _as_points(points, name: str = "points") -> np.ndarray:
 class NeighborIndex:
     """Immutable exact-NN search structure over the rows of an N x d matrix.
 
-    ``tree`` holds the structure of the route chosen from d:
+    ``points`` holds the indexed rows, float64 and C-ordered.
 
-    * d = 1: the sorted coordinates, a 1-D array searched as a sorted
-      line; ``order`` is then the stable argsort that sorts them, so
-      ``tree[i]`` is point ``order[i]``;
-    * 2 <= d <= 15: a balanced kd-tree (median split on the widest-spread
-      coordinate, leaf size 16);
-    * d > 15: None, and queries run brute force: a matrix-product screen
-      per block, an exact recompute of its candidates, and the unscreened
-      oracle for each row whose candidates a rounding margin cannot
-      certify, so the distances are bitwise the oracle's. ``screen``
-      then holds the points centered on their mean, a second N x d
-      array, for the screen.
+    ``route`` names the route that answers every query, set when the
+    index is built by ``_route_for`` alone: ``"line"``, ``"tree"`` or
+    ``"screen"``. Each route keeps its structure in its own slot, and
+    every slot of another route is None.
 
-    ``order`` and ``screen`` are None on the routes that do not use
-    them. A query asks for a few neighbor ranks and gets one column per
-    rank; the sorted-line and brute-force routes answer it in blocks of
-    rows within ``_BLOCK_BYTES`` of temporaries. Safe for concurrent
-    queries.
+    ``line`` and ``order``, on the ``"line"`` route: the sorted
+    coordinates, a 1-D array searched as a sorted line, and the stable
+    argsort that sorts them, so ``line[i]`` is point ``order[i]``.
+
+    ``tree``, on the ``"tree"`` route: a balanced ``cKDTree`` (median
+    split on the widest-spread coordinate, leaf size 16).
+
+    ``screen``, on the ``"screen"`` route: the points centered on their
+    mean, a second N x d array (``_Screen``). Queries run brute force: a
+    matrix-product screen per block, an exact recompute of its
+    candidates, and the unscreened oracle for each row whose candidates
+    a rounding margin cannot certify, so the distances are bitwise the
+    oracle's.
+
+    A query asks for a few neighbor ranks and gets one column per rank;
+    the line and screen routes answer it in blocks of rows within
+    ``_BLOCK_BYTES`` of temporaries. Safe for concurrent queries.
     """
 
-    __slots__ = ("points", "tree", "order", "screen")
+    __slots__ = ("points", "route", "line", "order", "tree", "screen")
 
     def __init__(self, points):
         pts = _as_points(points)
-        self.points = pts
-        self.order = self.screen = None
-        if pts.shape[1] == 1:
+        self.points, self.route = pts, _route_for(pts)
+        self.line = self.order = self.tree = self.screen = None
+        if self.route == "line":
             self.order = np.argsort(pts[:, 0], kind="stable")
-            self.tree = pts[self.order, 0]
-        elif pts.shape[1] > BRUTE_FORCE_DIM:
-            self.tree = None
+            self.line = pts[self.order, 0]
+        elif self.route == "screen":
             self.screen = _Screen(pts)
         else:
             # imported on first use: 1-D and d > 15 runs never load
@@ -204,11 +210,19 @@ class NeighborIndex:
     def _rank_distances(self, queries: np.ndarray, ranks: tuple, workers: int) -> np.ndarray:
         """Distances to the indexed points of the given 1-based neighbor
         ranks (ascending, at most the index size), one column per rank."""
-        if self.tree is None:
+        if self.route == "line":
+            return _line_rank_distances(queries[:, 0], self.line, ranks)
+        if self.route == "screen":
             return _screened_rank_distances(queries, self.points, self.screen, ranks)
-        if self.dim == 1:
-            return _line_rank_distances(queries[:, 0], self.tree, ranks)
         return self.tree.query(queries, k=list(ranks), workers=workers)[0]
+
+
+def _route_for(points: np.ndarray) -> str:
+    """The route of an index of points, by their dimension d alone: the
+    sorted line at d = 1, the kd-tree up to BRUTE_FORCE_DIM, and the
+    screened brute force above it."""
+    return ("line" if points.shape[1] == 1
+            else "tree" if points.shape[1] <= BRUTE_FORCE_DIM else "screen")
 
 
 def _in_blocks(n: int, row_bytes: int, ncols: int, block) -> np.ndarray:
@@ -559,15 +573,15 @@ class QueryBatch:
     """The points of several indexed groups as the query rows of
     cross-sample queries, in the order that answers them fastest.
 
-    On d = 1 ``line`` holds every group's points, sorted once, and
-    ``order`` the permutation that sorts them: line[i] is point order[i]
+    On the line route ``line`` holds every group's points, sorted once,
+    and ``order`` the permutation that sorts them: line[i] is point order[i]
     of the groups stacked in their order, in which group g holds points
     bounds[g]:bounds[g + 1]. Leaving a group out compresses the line,
     which keeps it sorted, into the calling thread's ``_Workspace``. A
     query's distances depend on its value alone, so the sort need not be
     stable; a batch of one group takes its index's sorted line and order
-    as they are. On d >= 2 both are None and the queries are the groups'
-    points stacked. Safe for concurrent queries.
+    as they are. On the other routes both are None and the queries are
+    the groups' points stacked. Safe for concurrent queries.
     """
 
     __slots__ = ("groups", "bounds", "line", "order")
@@ -576,9 +590,9 @@ class QueryBatch:
         self.groups = [ix.points for ix in indexes]
         self.bounds = list(accumulate((len(p) for p in self.groups), initial=0))
         self.line = self.order = None
-        if self.groups[0].shape[1] == 1:
+        if indexes[0].route == "line":
             if len(indexes) == 1:
-                self.line, self.order = indexes[0].tree, indexes[0].order
+                self.line, self.order = indexes[0].line, indexes[0].order
             else:
                 pooled = np.concatenate(self.groups)[:, 0]
                 self.order = np.argsort(pooled)
@@ -586,11 +600,12 @@ class QueryBatch:
 
     def query(self, skip: int | None = None):
         """(queries, split) for every group but ``skip``: the query rows,
-        sorted on d = 1 and else the groups' points stacked in group
-        order, and a function that splits values, one per query row, into
-        new arrays, one per group, each in its group's point order. On
-        d = 1 with a group left out, the queries and split hold until the
-        thread's next such query, which reuses its workspace."""
+        sorted on the line route and else the groups' points stacked in
+        group order, and a function that splits values, one per query
+        row, into new arrays, one per group, each in its group's point
+        order. On the line route with a group left out, the queries and
+        split hold until the thread's next such query, which reuses its
+        workspace."""
         groups = [g for g in range(len(self.groups)) if g != skip]
         if self.line is None:
             cuts = np.cumsum([len(self.groups[g]) for g in groups[:-1]])
@@ -650,12 +665,17 @@ class _Workspace:
         return workspace
 
 
+def _is_count(n) -> bool:
+    """Whether n is an int or numpy integer, and no bool: the one test of a
+    count (k, a thread count, a dimension) in the package."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 def _thread_count(workers) -> int:
     """The threads that ``workers`` asks for: at -1 every CPU this process
     may run on (its affinity mask, where the platform has one), else workers.
     A bool is no thread count, though Python's is an int."""
-    if not (isinstance(workers, (int, np.integer)) and not isinstance(workers, bool)
-            and (workers == -1 or workers >= 1)):
+    if not (_is_count(workers) and (workers == -1 or workers >= 1)):
         raise ConfigError(f"workers must be -1 or a positive integer, got {workers!r}")
     if workers != -1:
         return int(workers)
@@ -675,7 +695,8 @@ def kth_nn_within(index: NeighborIndex, k: int, *, workers: int = 1) -> np.ndarr
     Requires k <= N - 1. Entry n is zero only if the sample contains
     duplicate rows; callers that need strictly positive distances must
     screen for that. ``workers`` is -1 or a positive thread count
-    (``_thread_count``), for the kd-tree's query.
+    (``_thread_count``), for the kd-tree's query. A k that is no count
+    (``_is_count``) or below 1 raises ValueError.
     """
     workers = _thread_count(workers)
     queries, split = QueryBatch([index]).query()
@@ -702,7 +723,19 @@ def kth_nn_cross(query_points, index: NeighborIndex, k: int, *, workers: int = 1
         )
     return _kth_cross(queries, index.size, k,
                       lambda qs, ranks: index._rank_distances(qs, ranks, workers),
-                      index.tree if index.dim == 1 else None)
+                      index.line)
+
+
+def _rank_count(k) -> int:
+    """k as an int; ValueError unless it is a count of at least 1. Every
+    route and the oracle take k from here, before any query, so that
+    none can truncate a fractional k to a rank or overflow a small
+    numpy integer type in its index arithmetic."""
+    if not _is_count(k):
+        raise ValueError(f"k must be an integer, got {k!r}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return int(k)
 
 
 def _kth_within(n: int, k: int, rank_distances) -> np.ndarray:
@@ -711,8 +744,7 @@ def _kth_within(n: int, k: int, rank_distances) -> np.ndarray:
     ``rank_distances(ranks)`` returns every point's distances to the
     points of the given neighbor ranks in the same sample.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = _rank_count(k)
     if k > n - 1:
         raise InsufficientSampleError(
             f"within-sample k-NN with k={k} needs at least {k + 1} points, got {n}"
@@ -727,11 +759,11 @@ def _kth_cross(queries: np.ndarray, m: int, k: int, rank_distances,
 
     ``rank_distances(qs, ranks)`` returns the distances of the query rows
     qs to the indexed points of the given neighbor ranks. ``line``, the
-    sorted points of a 1-D index, lets k > 1 ask for rank k alone and find
-    the coincident rows by a search (_line_kth_and_coincident).
+    sorted points of an index on the line route, lets k > 1 ask for rank
+    k alone and find the coincident rows by a search
+    (_line_kth_and_coincident).
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = _rank_count(k)
     if k > m:
         raise InsufficientSampleError(
             f"cross-sample k-NN with k={k} needs at least {k} indexed points, got {m}"
@@ -762,7 +794,7 @@ def _kth_cross(queries: np.ndarray, m: int, k: int, rank_distances,
 
 def unit_ball_volume(d: int) -> float:
     """Volume of the d-dimensional Euclidean unit ball, pi^(d/2) / Gamma(d/2 + 1)."""
-    if not isinstance(d, (int, np.integer)) or d < 1:
+    if not _is_count(d) or d < 1:
         raise ValueError(f"dimension must be a positive integer, got {d!r}")
     return float(math.exp(0.5 * d * math.log(math.pi) - gammaln(0.5 * d + 1.0)))
 

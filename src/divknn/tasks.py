@@ -16,6 +16,7 @@ import numpy as np
 
 from .dataset import DivergenceMatrix
 from .errors import ConfigError, ContractError, FlatAffinityError, UndefinedAUCError
+from .knn import _is_count
 
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 200
@@ -87,11 +88,6 @@ class AnomalyScores:
         score.setflags(write=False)
         object.__setattr__(self, "score", score)
         object.__setattr__(self, "ids", tuple(self.ids))
-
-
-def _is_count(k) -> bool:
-    """Whether k is an int or numpy integer, and no bool."""
-    return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
 
 
 def _require_finite(w: np.ndarray) -> None:

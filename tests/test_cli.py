@@ -419,6 +419,19 @@ def test_repeated_ids_exit_1_naming_the_id(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # SVG coordinate mapping.
 
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_a_non_finite_alpha_exits_1_naming_alpha(tmp_path, capsys, alpha):
+    d = _synth_sine(tmp_path)
+    capsys.readouterr()
+    w = str(tmp_path / "w.csv")
+    assert _one_error_line(capsys, run("estimate", "--input", str(d), "--k", "5",
+                                       f"--alpha={alpha}", "--out", w)) \
+        == f"error: alpha must be a finite real number for the renyi estimator, got {alpha}"
+    # the L2 estimator takes no alpha
+    assert run("estimate", "--input", str(d), "--k", "3", "--estimator", "l2",
+               f"--alpha={alpha}", "--out", w) == 0
+
+
 def test_scatter_transform_corners():
     coords = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]])
     px = scatter_transform(coords)

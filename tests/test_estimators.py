@@ -471,6 +471,73 @@ def test_config_validation():
     assert cfg.k == 2
 
 
+@pytest.mark.parametrize("k", [2.5, 20.0, np.float64(5.0), True, False, "20"])
+def test_a_k_that_is_no_count_is_a_config_error(k):
+    for kind in (est.RENYI, est.L2):
+        with pytest.raises(ConfigError) as info:
+            est.EstimatorConfig(kind, 0.5, k)
+        assert str(info.value) == f"k must be a positive integer, got {k!r}"
+
+
+@pytest.mark.parametrize("d", [1, 2, 20])
+@pytest.mark.parametrize("name", _PAIR_FUNCTIONS)
+@pytest.mark.parametrize("k", [2.5, 20.0, True])
+def test_pair_functions_reject_a_k_that_is_no_count(d, name, k):
+    # a fractional k was truncated by the neighbor queries but not by the
+    # correction factor, or raised a bare TypeError on some routes
+    x, y = _pair(d, n=200, m=200, d=d, shift=0.5)
+    with pytest.raises(ConfigError) as info:
+        _call_pair(name, x, y, k, 0.5)
+    assert str(info.value) == f"k must be a positive integer, got {k!r}"
+
+
+@pytest.mark.parametrize("d", [1, 2, 20])
+def test_a_numpy_integer_k_keeps_the_int_bits(d):
+    x, y = _pair(d, n=200, m=200, d=d, shift=0.5)
+    for name in _PAIR_FUNCTIONS:
+        want = _call_pair(name, x, y, 4, 0.5)
+        for kind in (np.int8, np.uint8, np.int32, np.int64, np.uint64):
+            assert _call_pair(name, x, y, kind(4), 0.5) == want
+    ds = Dataset(tuple(Group(f"g{i}", _pair(i, n=60, m=1, d=d)[0]) for i in range(3)))
+    for kind in (est.RENYI, est.L2):
+        w = est.divergence_matrix(ds, est.EstimatorConfig(kind, 0.5, 5)).values
+        assert np.array_equal(est.divergence_matrix(
+            ds, est.EstimatorConfig(kind, 0.5, np.int64(5))).values, w)
+
+
+@pytest.mark.parametrize("value", ["no", "", 1, 0, None, np.array(True)])
+def test_symmetrize_must_be_a_bool(value):
+    for kind in (est.RENYI, est.L2):
+        with pytest.raises(ConfigError) as info:
+            est.EstimatorConfig(kind, 0.5, 5, symmetrize=value)
+        assert str(info.value) == f"symmetrize must be a bool, got {value!r}"
+
+
+def test_a_numpy_bool_symmetrize_is_the_bool():
+    ds = Dataset(tuple(Group(f"g{i}", _pair(i, n=100, m=1, d=1)[0]) for i in range(3)))
+    for flag in (True, False):
+        want = est.divergence_matrix(ds, est.EstimatorConfig("renyi", 0.5, 5, flag)).values
+        got = est.divergence_matrix(ds, est.EstimatorConfig("renyi", 0.5, 5, np.bool_(flag)))
+        assert np.array_equal(got.values, want)
+
+
+@pytest.mark.parametrize("alpha", ["0.5", math.nan, math.inf, -math.inf, np.float64(math.nan),
+                                   True, np.bool_(False), None, 0.5j])
+def test_renyi_alpha_must_be_a_finite_real(alpha):
+    with pytest.raises(ConfigError) as info:
+        est.EstimatorConfig("renyi", alpha, 20)
+    assert str(info.value) == (
+        f"alpha must be a finite real number for the renyi estimator, got {alpha!r}")
+    # the L2 estimator takes no alpha and keeps ignoring it
+    assert est.EstimatorConfig("l2", alpha, 20).k == 20
+
+
+@pytest.mark.parametrize("alpha", [0.5, np.float64(0.5), np.float32(0.25), 2, np.int64(3),
+                                   -1.5])
+def test_a_finite_real_alpha_is_accepted(alpha):
+    assert est.EstimatorConfig("renyi", alpha, 20).alpha == alpha
+
+
 def test_op_level_k_bound():
     # single estimates enforce the looser existence bound k > |alpha-1|
     with pytest.raises(ConfigError):

@@ -223,7 +223,7 @@ def test_sorted_window_matches_brute(seed, k, extra, n, decimals, scale_exp, coi
     if coincide:
         queries[::2] = pts[rng.integers(0, m, size=len(queries[::2]))]
     idx = knn.build_index(pts)
-    assert isinstance(idx.tree, np.ndarray)  # the sorted-window route
+    assert idx.route == "line"  # the sorted-window route
     ranks = tuple(range(1, min(k + 1, m) + 1))  # the whole sorted table
     assert np.array_equal(idx._rank_distances(queries, ranks, 1),
                           knn._brute_rank_distances(queries, pts, ranks))
@@ -332,7 +332,7 @@ def test_line_route_matches_brute(monkeypatch):
             with warnings.catch_warnings():
                 # where the oracle overflows, the route may warn as well
                 warnings.simplefilter("ignore" if caught else "error")
-                got = knn._line_rank_distances(queries[:, 0], knn.build_index(pts).tree, ranks)
+                got = knn._line_rank_distances(queries[:, 0], knn.build_index(pts).line, ranks)
         finally:
             monkeypatch.undo()
         assert np.array_equal(got, want)
@@ -411,9 +411,9 @@ def test_line_route_sends_as_many_rows_to_the_window_as_a_search_per_query(
     rng = _rng(13)
     groups = [np.round(rng.normal(0.3 * g, 1.0 + 0.1 * g, size=400) * 3.0, decimals)
               for g in range(6)]
-    line = knn.build_index(groups[0][:, None]).tree
+    line = knn.build_index(groups[0][:, None]).line
     rest = [knn.build_index(g[:, None]) for g in groups[1:]]
-    runs = np.concatenate([ix.tree for ix in rest])
+    runs = np.concatenate([ix.line for ix in rest])
     pooled = knn.QueryBatch(rest).query()[0][:, 0]
     want = knn._brute_rank_distances(runs[:, None], line[:, None], ranks)
     for queries in (runs, pooled):
@@ -613,12 +613,12 @@ def test_coincidences_at_the_underflow_edge(exp, sort):
 
 
 def test_line_index_keeps_the_sorting_order():
-    # tree is the sorted line (the route reads it), order the stable
-    # argsort, so that tree[i] is point order[i]; other routes have none
+    # line is the sorted line (the route reads it), order the stable
+    # argsort, so that line[i] is point order[i]; other routes have none
     pts = np.array([[3.0], [-1.0], [3.0], [0.5], [-1.0]])
     idx = knn.build_index(pts)
     assert idx.order.tolist() == [1, 4, 3, 0, 2]
-    assert np.array_equal(idx.tree, pts[idx.order, 0])
+    assert np.array_equal(idx.line, pts[idx.order, 0])
     assert knn.build_index(_rng(0).normal(size=(4, 2))).order is None
     assert knn.build_index(_rng(0).normal(size=(4, 20))).order is None
 
@@ -773,7 +773,7 @@ def test_line_column_query_holds_its_output_and_two_blocks():
         nu = knn.kth_nn_cross(queries, idx, 20)
         _, column_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        table = knn._line_rank_distances(queries[:, 0], idx.tree, (1, 20))
+        table = knn._line_rank_distances(queries[:, 0], idx.line, (1, 20))
         _, route_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -935,7 +935,9 @@ def test_brute_oracle_does_not_use_the_screen(monkeypatch):
     rng = _rng(8)
     pts, queries = rng.normal(size=(60, 30)), rng.normal(size=(20, 30))
     idx = knn.build_index(pts)
-    assert idx.tree is None  # divbench's tracer labels the route from it
+    # tree stays None above d = 15: divbench's tracer labels the route
+    # brute from it, and so labels the d = 1 line brute too
+    assert idx.tree is None
     want = knn.kth_nn_within(idx, 3), knn.kth_nn_cross(queries, idx, 3)
 
     def refuse(*args):
@@ -1081,6 +1083,167 @@ def test_queries_are_deterministic():
 
 
 # ---------------------------------------------------------------------------
+# One route per index, chosen by _route_for alone: forcing each route that
+# can answer d on the same data must give the oracle's values or errors.
+
+_ROUTES = ("line", "tree", "screen")
+
+
+def _routes_for_dim(d):
+    """The routes that can answer queries at dimension d: the line only at d = 1."""
+    return _ROUTES if d == 1 else _ROUTES[1:]
+
+
+def _any_outcome(query):
+    """The query's distances, or the type and message of the DivknnError or
+    ValueError (a bad k or shape) it raised."""
+    try:
+        return query()
+    except (DivknnError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _forced_outcomes(monkeypatch, route, pts, queries, k):
+    """kth_nn_within and kth_nn_cross outcomes on an index of pts built
+    with _route_for forced to route."""
+    with monkeypatch.context() as mp:
+        mp.setattr(knn, "_route_for", lambda points: route)
+        idx = knn.build_index(pts)
+        assert idx.route == route
+        return (_any_outcome(lambda: knn.kth_nn_within(idx, k)),
+                _any_outcome(lambda: knn.kth_nn_cross(queries, idx, k)))
+
+
+def _oracle_outcomes(pts, queries, k):
+    return (_any_outcome(lambda: knn.brute_kth_nn_within(pts, k)),
+            _any_outcome(lambda: knn.brute_kth_nn_cross(queries, pts, k)))
+
+
+def _route_draw(seed, n, m, d, decimals, coincide, duplicate):
+    """Rounded queries and points, with duplicate points and queries on
+    points on request."""
+    rng = _rng(seed)
+    pts = _rounded_normal(rng, (m, d), decimals)
+    queries = _rounded_normal(rng, (n, d), decimals)
+    if duplicate and m > 1:
+        pts[rng.integers(1, m)] = pts[0]
+    if coincide:
+        queries[::2] = pts[rng.integers(0, m, size=len(queries[::2]))]
+    return pts, queries
+
+
+def test_route_for_picks_the_route_by_dimension():
+    from scipy.spatial import cKDTree
+
+    for d, route in ((1, "line"), (2, "tree"), (15, "tree"), (16, "screen")):
+        pts = _rng(d).normal(size=(20, d))
+        assert knn._route_for(pts) == route
+        idx = knn.build_index(pts)
+        assert idx.route == route
+        slots = {name for name in ("line", "order", "tree", "screen")
+                 if getattr(idx, name) is not None}
+        assert slots == {"line": {"line", "order"}, "tree": {"tree"},
+                         "screen": {"screen"}}[route]
+        assert idx.tree is None or isinstance(idx.tree, cKDTree)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 30),
+    m=st.integers(1, 40),
+    d=st.integers(1, _TREE_BITWISE_DIM),
+    k=st.integers(1, 12),
+    decimals=st.integers(0, 3),
+    coincide=st.booleans(),
+    duplicate=st.booleans(),
+)
+def test_every_route_forced_on_the_same_data_is_the_oracle(
+        monkeypatch, seed, n, m, d, k, decimals, coincide, duplicate):
+    # the screen at d <= 15 and the line's peers at d = 1 never run
+    # unforced; to d = 7 every route is bitwise the oracle
+    pts, queries = _route_draw(seed, n, m, d, decimals, coincide, duplicate)
+    want = _oracle_outcomes(pts, queries, k)
+    for route in _routes_for_dim(d):
+        for got, w in zip(_forced_outcomes(monkeypatch, route, pts, queries, k), want):
+            _assert_same_outcome(got, w)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 30),
+    m=st.integers(1, 40),
+    d=st.integers(_TREE_BITWISE_DIM + 1, knn.BRUTE_FORCE_DIM),
+    k=st.integers(1, 12),
+    decimals=st.integers(0, 3),
+    coincide=st.booleans(),
+    duplicate=st.booleans(),
+)
+def test_the_screen_forced_below_its_dimensions_is_the_oracle(
+        monkeypatch, seed, n, m, d, k, decimals, coincide, duplicate):
+    # from d = 8 the kd-tree may differ in the last bits; the screen may not
+    pts, queries = _route_draw(seed, n, m, d, decimals, coincide, duplicate)
+    want = _oracle_outcomes(pts, queries, k)
+    for route in ("tree", "screen"):
+        rtol = _route_rtol(d) if route == "tree" else 0.0
+        for got, w in zip(_forced_outcomes(monkeypatch, route, pts, queries, k), want):
+            _assert_same_outcome(got, w, rtol)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_the_matrix_has_the_same_bytes_on_every_forced_route(monkeypatch, d):
+    rng = _rng(40 + d)
+    ds = Dataset(tuple(Group(f"g{i}", np.round(rng.normal(0.3 * i, 1.0, size=(300, d)), 3))
+                       for i in range(4)))
+    digests = set()
+    for route in _routes_for_dim(d):
+        with monkeypatch.context() as mp:
+            mp.setattr(knn, "_route_for", lambda points: route)
+            for cfg in (estimators.EstimatorConfig("renyi", 0.5, 5),
+                        estimators.EstimatorConfig("l2", k=5, symmetrize=False)):
+                for workers in (1, 2):
+                    w = estimators.divergence_matrix(ds, cfg, workers=workers)
+                    digests.add((cfg, workers, w.values.tobytes()))
+    assert len(digests) == 4  # one matrix per config and thread count
+
+
+# ---------------------------------------------------------------------------
+# k is a count on every route and the oracle: never a float, even an
+# integral one, nor a bool.
+
+@pytest.mark.parametrize("d", [1, 2, 20])
+@pytest.mark.parametrize("k", [2.5, 3.0, np.float64(2.0), True, False, "3"])
+def test_a_k_that_is_no_count_raises_on_every_route(d, k):
+    rng = _rng(d)
+    pts, queries = rng.normal(size=(40, d)), rng.normal(size=(10, d))
+    idx = knn.build_index(pts)
+    for call in (lambda: knn.kth_nn_within(idx, k), lambda: knn.kth_nn_cross(queries, idx, k),
+                 lambda: knn.brute_kth_nn_within(pts, k),
+                 lambda: knn.brute_kth_nn_cross(queries, pts, k)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"k must be an integer, got {k!r}"
+
+
+@pytest.mark.parametrize("d", [1, 2, 20])
+def test_a_numpy_integer_k_gives_the_int_bits(d):
+    rng = _rng(d)
+    pts, queries = rng.normal(size=(400, d)), rng.normal(size=(10, d))
+    queries[0] = pts[3]
+    idx = knn.build_index(pts)
+    # small and unsigned types too: k is taken as an int before any index
+    # arithmetic, which would overflow an int8 at 400 points
+    for kind in (np.int8, np.uint8, np.int32, np.int64, np.uint64):
+        for k in (1, 4):
+            assert np.array_equal(knn.kth_nn_within(idx, kind(k)), knn.kth_nn_within(idx, k))
+            assert np.array_equal(knn.kth_nn_cross(queries, idx, kind(k)),
+                                  knn.kth_nn_cross(queries, idx, k))
+
+
+# ---------------------------------------------------------------------------
 # Unit-ball volumes.
 
 def test_unit_ball_volume_known_dimensions():
@@ -1107,3 +1270,11 @@ def test_unit_ball_volume_rejects_bad_dimension():
         knn.unit_ball_volume(0)
     with pytest.raises(ValueError):
         knn.unit_ball_volume(2.5)
+
+
+def test_unit_ball_volume_takes_a_count_and_no_bool():
+    # True is an int to Python, but no dimension
+    for d in (True, False, 2.0):
+        with pytest.raises(ValueError):
+            knn.unit_ball_volume(d)
+    assert knn.unit_ball_volume(np.int64(3)) == knn.unit_ball_volume(3)

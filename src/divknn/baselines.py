@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import DivergenceMatrix
 from .errors import ConfigError, ContractError, InsufficientSampleError
-from .estimators import RENYI, _divergence_table
+from .estimators import RENYI, _check_alpha, _divergence_table
 
 # Smallest covariance eigenvalue tolerated, relative to mean variance.
 RIDGE_FLOOR = 1e-9
@@ -97,12 +97,12 @@ def gaussian_renyi(p: GaussianFit, q: GaussianFit, alpha: float) -> float:
     """Closed-form Renyi-alpha divergence between two Gaussians.
 
     Defined when the mixture covariance (1-alpha) Cov_p + alpha Cov_q
-    is positive definite (always true for alpha in [0, 1]).
+    is positive definite (always true for alpha in [0, 1]). alpha must
+    be a finite real number other than 1, as for the sample estimator.
     """
     if p.dim != q.dim:
         raise ContractError(f"dimensions differ: {p.dim} vs {q.dim}")
-    if alpha == 1.0:
-        raise ConfigError("alpha must differ from 1")
+    _check_alpha(alpha)
     cov_mix = (1.0 - alpha) * p.covariance + alpha * q.covariance
     dmu = q.mean - p.mean
     quad = float(dmu @ _solve_pd(cov_mix, dmu, "mixed covariance"))

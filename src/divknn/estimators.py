@@ -82,32 +82,34 @@ class EstimatorConfig:
             raise ConfigError(f"unknown estimator kind {self.kind!r}; use 'renyi' or 'l2'")
         if not isinstance(self.symmetrize, (bool, np.bool_)):
             raise ConfigError(f"symmetrize must be a bool, got {self.symmetrize!r}")
-        _require_count(self.k)
-        if self.k < 1:
-            raise ConfigError(f"k must be a positive integer, got {self.k}")
-        if self.kind == RENYI:
-            if (isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real)
-                    or not math.isfinite(self.alpha)):
-                raise ConfigError(
-                    f"alpha must be a finite real number for the renyi estimator, "
-                    f"got {self.alpha!r}")
-            if self.alpha == 1.0:
-                raise ConfigError("alpha must differ from 1 for the renyi estimator")
-            if not self.k > 2.0 * abs(self.alpha - 1.0):
-                raise ConfigError(
-                    f"renyi estimator requires k > 2|alpha - 1| "
-                    f"(got k={self.k}, alpha={self.alpha})"
-                )
-        elif self.k < 3:
-            raise ConfigError(f"l2 estimator requires k >= 3, got k={self.k}")
+        _check_parameters(self.kind, self.k, self.alpha)
+        if self.kind == RENYI and not self.k > 2.0 * abs(self.alpha - 1.0):
+            raise ConfigError(f"renyi estimator requires k > 2|alpha - 1| "
+                              f"(got k={self.k}, alpha={self.alpha})")
 
 
-def _require_count(k) -> None:
-    """ConfigError unless k is a count (``knn._is_count``): a fractional
-    k would be truncated by the neighbor queries but not by the
-    correction factor."""
+def _check_parameters(kind: str, k, alpha) -> None:
+    """ConfigError unless k and, for the Renyi kind, alpha suit the
+    estimator: k a count (``knn._is_count``; a fractional k would be
+    truncated by the neighbor queries but not by the correction factor)
+    of at least 1, and of at least 3 for L2, which ignores alpha."""
     if not _is_count(k):
         raise ConfigError(f"k must be a positive integer, got {k!r}")
+    if k < 1:
+        raise ConfigError(f"k must be a positive integer, got {k}")
+    if kind == RENYI:
+        _check_alpha(alpha)
+    elif k < 3:
+        raise ConfigError(f"l2 estimator requires k >= 3, got k={k}")
+
+
+def _check_alpha(alpha) -> None:
+    """ConfigError unless alpha is a finite real number other than 1."""
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not math.isfinite(alpha):
+        raise ConfigError(
+            f"alpha must be a finite real number for the renyi estimator, got {alpha!r}")
+    if alpha == 1.0:
+        raise ConfigError("alpha must differ from 1 for the renyi estimator")
 
 
 def correction_factor(k: int, alpha: float) -> float:
@@ -151,23 +153,19 @@ def _screen_rho(rho: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 # Renyi-alpha family.
 
-def _alpha_terms(log_rho, nu, n, m, d, alpha):
-    # ((n-1) rho^d / (m nu^d))^(1-alpha) from log rho_k, evaluated in log
-    # space so that rho^d / nu^d never overflows on its own:
-    # exp((1 - alpha) (d (log rho - log nu) + log(n-1) - log m)), each
-    # step in place in one new array.
+def _integral_estimate(log_rho, nu, n, m, d, alpha, b) -> float:
+    # The mean of ((n-1) rho^d / (m nu^d))^(1-alpha) from log rho_k, times
+    # b. The terms are taken in log space, so that rho^d / nu^d never
+    # overflows on its own: exp((1 - alpha) (d (log rho - log nu) +
+    # log(n-1) - log m)), each step in place in one new array; then the
+    # sum and the division of .mean(), n being the number of terms.
     t = np.log(nu)
     np.subtract(log_rho, t, out=t)
     t *= d
     t += math.log(n - 1)
     t -= math.log(m)
     t *= 1.0 - alpha
-    return np.exp(t, out=t)
-
-
-def _integral_estimate(log_rho, nu, n, m, d, alpha, b) -> float:
-    # the sum and the division of .mean(), n being the number of terms
-    est = float(np.add.reduce(_alpha_terms(log_rho, nu, n, m, d, alpha)) / n * b)
+    est = float(np.add.reduce(np.exp(t, out=t)) / n * b)
     # A zero, infinite or NaN integral has no finite log.
     if not 0.0 < est < math.inf:
         raise NonFiniteEstimateError(
@@ -181,17 +179,12 @@ def alpha_integral(x, y, k: int, alpha: float, *, workers: int = 1) -> float:
     """Estimate the integral of p^alpha q^(1-alpha) from samples x ~ p, y ~ q.
 
     This is the quantity inside the Renyi divergence before the log
-    transform; it equals 1 when p = q. Requires alpha != 1 and
-    k > |alpha - 1|. Always strictly positive and finite; an estimate
-    that is not raises NonFiniteEstimateError. A k that is no count
-    raises ConfigError.
+    transform; it equals 1 when p = q. Takes the k and alpha rules of
+    ``EstimatorConfig`` but the looser bound k > |alpha - 1|, and raises
+    ConfigError where they fail. Always strictly positive and finite; an
+    estimate that is not raises NonFiniteEstimateError.
     """
-    _require_count(k)
-    if alpha == 1.0:
-        raise ConfigError("alpha must differ from 1")
-    b = correction_factor(k, alpha)  # validates k > |alpha - 1|
-    return _pair_value(x, y, k, workers, lambda rho, log_rho, nu, n, m, d:
-                       _integral_estimate(log_rho, nu, n, m, d, alpha, b))
+    return _pair_value(x, y, k, workers, _reductions(RENYI, k, alpha)[0])
 
 
 def renyi_divergence(x, y, k: int, alpha: float, *, workers: int = 1) -> float:
@@ -200,8 +193,7 @@ def renyi_divergence(x, y, k: int, alpha: float, *, workers: int = 1) -> float:
     May come out slightly negative for samples from the same
     distribution (estimator noise); it is not clamped.
     """
-    est = alpha_integral(x, y, k, alpha, workers=workers)
-    return math.log(est) / (alpha - 1.0)
+    return _pair_value(x, y, k, workers, _reductions(RENYI, k, alpha)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -263,22 +255,38 @@ def l2_squared(x, y, k: int, *, workers: int = 1) -> float:
 
     The estimate targets the integral of (p - q)^2 and may be negative
     (it is an unbiased-style estimate of a nonnegative quantity); it is
-    returned unclamped for diagnostic value. Requires k >= 3. Neighbor
-    distances raised to the power d that leave float64 range are scaled
-    by a power of 2 first, which scales each term exactly; an estimate
-    that is still not finite, or underflows to 0, raises
-    NonFiniteEstimateError. A k that is no count raises ConfigError.
+    returned unclamped for diagnostic value. Takes the k rules of
+    ``EstimatorConfig`` (a count, at least 3) and raises ConfigError
+    where they fail. Neighbor distances raised to the power d that leave
+    float64 range are scaled by a power of 2 first, which scales each
+    term exactly; an estimate that is still not finite, or underflows to
+    0, raises NonFiniteEstimateError.
     """
-    _require_count(k)
-    if k < 3:
-        raise ConfigError(f"l2 estimator requires k >= 3 (k - 2 > 0), got k={k}")
-    return _pair_value(x, y, k, workers, lambda rho, log_rho, nu, n, m, d:
-                       _l2_squared_estimate(rho, nu, n, m, d, k))
+    return _pair_value(x, y, k, workers, _reductions(L2, k, None)[0])
 
 
 def l2_divergence(x, y, k: int, *, workers: int = 1) -> float:
     """L2 divergence estimate: sqrt of the squared estimate clamped at 0."""
-    return math.sqrt(max(0.0, l2_squared(x, y, k, workers=workers)))
+    return _pair_value(x, y, k, workers, _reductions(L2, k, None)[1])
+
+
+def _reductions(kind: str, k, alpha):
+    """The two per-pair reductions of a kind, each ``reduce(rho, log_rho,
+    nu, n, m, d)``: the raw estimate (the Renyi integral or the L2
+    square) and the divergence taken from it. The parameters must pass
+    ``_check_parameters`` and, for Renyi, ``correction_factor``'s
+    k > |alpha - 1|."""
+    _check_parameters(kind, k, alpha)
+    if kind == RENYI:
+        b = correction_factor(k, alpha)
+
+        def raw(rho, log_rho, nu, n, m, d):
+            return _integral_estimate(log_rho, nu, n, m, d, alpha, b)
+        return raw, lambda *stats: math.log(raw(*stats)) / (alpha - 1.0)
+
+    def raw(rho, log_rho, nu, n, m, d):
+        return _l2_squared_estimate(rho, nu, n, m, d, k)
+    return raw, lambda *stats: math.sqrt(max(0.0, raw(*stats)))
 
 
 def symmetrize(a: float, b: float) -> float:
@@ -494,12 +502,5 @@ def cross_divergence_matrix(ds_from: Dataset, ds_to: Dataset,
     groups and columns reference groups. ``workers`` threads the build
     as in divergence_matrix.
     """
-    k, alpha = cfg.k, cfg.alpha
-    b = correction_factor(k, alpha) if cfg.kind == RENYI else math.nan
-
-    def divergence(rho, log_rho, nu, n, m, d):
-        if cfg.kind == RENYI:
-            return math.log(_integral_estimate(log_rho, nu, n, m, d, alpha, b)) / (alpha - 1.0)
-        return math.sqrt(max(0.0, _l2_squared_estimate(rho, nu, n, m, d, k)))
-
-    return _sample_table(ds_from, ds_to, k, divergence, cfg.symmetrize, workers)
+    return _sample_table(ds_from, ds_to, cfg.k, _reductions(cfg.kind, cfg.k, cfg.alpha)[1],
+                         cfg.symmetrize, workers)

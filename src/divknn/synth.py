@@ -14,6 +14,7 @@ import numpy as np
 
 from .dataset import Dataset, Group
 from .errors import ConfigError
+from .knn import _is_count
 
 GRID_SIDE = 10
 GRID_SAMPLES = 2000
@@ -29,10 +30,22 @@ GRID_FAMILIES = (GAUSSIAN_GRID, UNIFORM_GRID, BETA_GRID)
 
 
 def _rng(seed: int) -> np.random.Generator:
+    """The Philox stream of a seed, which must be a count (``knn._is_count``)
+    of at least 0: every seeded draw of the generators and the tasks."""
+    if not (_is_count(seed) and seed >= 0):
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _check_count(name: str, n) -> None:
+    """ConfigError unless n is a count (``knn._is_count``); the caller
+    checks its range."""
+    if not _is_count(n):
+        raise ConfigError(f"{name} must be an integer, got {n!r}")
+
+
 def _check_samples(n: int) -> None:
+    _check_count("samples_per_group", n)
     if n < 1:
         raise ConfigError(f"samples_per_group must be positive, got {n}")
 
@@ -95,6 +108,7 @@ def gen_noisy_sine(n_groups: int, seed: int,
     noise. Returns the dataset, the parameter column names, and an
     id -> (theta,) mapping.
     """
+    _check_count("n_groups", n_groups)
     if n_groups < 1:
         raise ConfigError(f"n_groups must be positive, got {n_groups}")
     _check_samples(samples_per_group)
@@ -121,6 +135,8 @@ def gen_sine_anomaly_scenario(n_normal: int, n_anom: int, seed: int,
     'normal' / 'anomaly'. Returns the dataset, the parameter column
     names, and an id -> (theta,) mapping.
     """
+    _check_count("n_normal", n_normal)
+    _check_count("n_anom", n_anom)
     if n_normal < 1 or n_anom < 1:
         raise ConfigError("need at least one normal and one anomalous group")
     _check_samples(samples_per_group)
@@ -150,6 +166,8 @@ def gen_gaussian_classes(seed: int, n_classes: int = 4,
     name c0, c1, ... Group ids interleave class and replicate indices so
     adjacent ids never imply adjacent classes.
     """
+    _check_count("n_classes", n_classes)
+    _check_count("groups_per_class", groups_per_class)
     if n_classes < 2:
         raise ConfigError(f"need at least 2 classes, got {n_classes}")
     if groups_per_class < 1:

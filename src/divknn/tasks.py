@@ -17,6 +17,7 @@ import numpy as np
 from .dataset import DivergenceMatrix
 from .errors import ConfigError, ContractError, FlatAffinityError, UndefinedAUCError
 from .knn import _is_count
+from .synth import _rng
 
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 200
@@ -97,6 +98,14 @@ def _require_finite(w: np.ndarray) -> None:
         raise ContractError("divergence table contains non-finite entries")
 
 
+def _check_count(what: str, n, low: int, high: int) -> None:
+    """ConfigError unless n is a count (``knn._is_count``) in [low, high]."""
+    if not _is_count(n):
+        raise ConfigError(f"{what} must be an integer in [{low}, {high}], got {n!r}")
+    if not low <= n <= high:
+        raise ConfigError(f"{what} must lie in [{low}, {high}], got {n}")
+
+
 def _require_symmetric(w: DivergenceMatrix) -> np.ndarray:
     if not w.is_symmetric():
         raise ContractError("matrix must be symmetrized first")
@@ -117,8 +126,7 @@ def mds_embed(w: DivergenceMatrix, m: int) -> Embedding:
     """
     values = _require_symmetric(w)
     n = len(w.ids)
-    if not 1 <= m <= n - 1:
-        raise ConfigError(f"target dimension must lie in [1, {n - 1}], got {m}")
+    _check_count("target dimension", m, 1, n - 1)
     sq = values ** 2
     centerer = np.eye(n) - np.full((n, n), 1.0 / n)
     b = -0.5 * centerer @ sq @ centerer
@@ -225,8 +233,8 @@ def spectral_cluster(w: DivergenceMatrix, n_clusters: int, seed: int) -> Cluster
     """
     values = _require_symmetric(w)
     n = len(w.ids)
-    if not 2 <= n_clusters <= n:
-        raise ConfigError(f"cluster count must lie in [2, {n}], got {n_clusters}")
+    _check_count("cluster count", n_clusters, 2, n)
+    rng = _rng(seed)
     a = _affinity(values)
     degrees = a.sum(axis=1)
     if (degrees <= 0.0).any():
@@ -239,7 +247,6 @@ def spectral_cluster(w: DivergenceMatrix, n_clusters: int, seed: int) -> Cluster
     norms = np.linalg.norm(basis, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     basis = basis / norms
-    rng = np.random.Generator(np.random.Philox(seed))
     assign = _kmeans(basis, n_clusters, rng)
     return ClusterAssignment(w.ids, tuple(assign), n_clusters)
 
@@ -357,9 +364,8 @@ def cross_validate_classify(w: DivergenceMatrix, labels, k_vote: int,
         raise ContractError(f"{len(labels)} labels vs {n} groups")
     if any(lab is None for lab in labels):
         raise ContractError("every group needs a label")
-    if not 2 <= n_folds <= n:
-        raise ConfigError(f"fold count must lie in [2, {n}], got {n_folds}")
-    rng = np.random.Generator(np.random.Philox(seed))
+    _check_count("fold count", n_folds, 2, n)
+    rng = _rng(seed)
     order = rng.permutation(n)
     predictions: list[str | None] = [None] * n
     for f in range(n_folds):

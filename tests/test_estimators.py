@@ -538,6 +538,47 @@ def test_a_finite_real_alpha_is_accepted(alpha):
     assert est.EstimatorConfig("renyi", alpha, 20).alpha == alpha
 
 
+_BAD_K = [0, -1, 2.5, True, "3"]
+_BAD_ALPHA = ["0.5", None, math.nan, math.inf, True, 1, 1.0]
+
+
+def _config_error(kind, k, alpha):
+    with pytest.raises(ConfigError) as info:
+        est.EstimatorConfig(kind, alpha, k)
+    return str(info.value)
+
+
+def _assert_pair_error_is_the_configs(name, kind, k, alpha):
+    x, y = _pair(1, n=40, m=30)
+    with pytest.raises(ConfigError) as info:
+        _call_pair(name, x, y, k, alpha)
+    assert str(info.value) == _config_error(kind, k, alpha)
+
+
+# Every case fails a rule that EstimatorConfig and the pair functions
+# share; none fails only the matrix bound k > 2|alpha - 1|.
+@pytest.mark.parametrize("name", ["alpha_integral", "renyi_divergence"])
+@pytest.mark.parametrize("k, alpha", [(k, alpha) for k in _BAD_K for alpha in _BAD_ALPHA + [0.5]]
+                         + [(20, alpha) for alpha in _BAD_ALPHA], ids=repr)
+def test_renyi_pair_functions_take_the_config_rules(name, k, alpha):
+    _assert_pair_error_is_the_configs(name, est.RENYI, k, alpha)
+
+
+@pytest.mark.parametrize("name", ["l2_squared", "l2_divergence"])
+@pytest.mark.parametrize("k", _BAD_K + [1, 2], ids=repr)
+def test_l2_pair_functions_take_the_config_rules(name, k):
+    _assert_pair_error_is_the_configs(name, est.L2, k, 0.5)
+
+
+@pytest.mark.parametrize("alpha", _BAD_ALPHA, ids=repr)
+def test_gaussian_renyi_takes_the_alpha_rule(alpha):
+    p = baselines.GaussianFit([0.0], [[1.0]])
+    q = baselines.GaussianFit([0.5], [[2.0]])
+    with pytest.raises(ConfigError) as info:
+        baselines.gaussian_renyi(p, q, alpha)
+    assert str(info.value) == _config_error(est.RENYI, 20, alpha)
+
+
 def test_op_level_k_bound():
     # single estimates enforce the looser existence bound k > |alpha-1|
     with pytest.raises(ConfigError):

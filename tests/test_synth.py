@@ -74,6 +74,47 @@ def test_beta_grid_support_and_parameters():
         assert g.points.max() < 1.0
 
 
+_GENERATOR_COUNTS = [
+    ("n_groups", lambda n: synth.gen_noisy_sine(n, 0, 50)),
+    ("samples_per_group", lambda n: synth.gen_noisy_sine(2, 0, n)),
+    ("samples_per_group", lambda n: synth.gen_param_grid("ggrid", 0, n)),
+    ("n_normal", lambda n: synth.gen_sine_anomaly_scenario(n, 1, 0, 50)),
+    ("n_anom", lambda n: synth.gen_sine_anomaly_scenario(2, n, 0, 50)),
+    ("n_classes", lambda n: synth.gen_gaussian_classes(0, n_classes=n)),
+    ("groups_per_class", lambda n: synth.gen_gaussian_classes(0, groups_per_class=n)),
+]
+
+
+@pytest.mark.parametrize("name, call", _GENERATOR_COUNTS)
+@pytest.mark.parametrize("count", [2.5, 2.0, np.float64(3.0), True, False, "2", None])
+def test_generator_counts_must_be_integers(name, call, count):
+    # a bool ran as 1 group or anomaly, a float raised a bare TypeError
+    with pytest.raises(ConfigError) as info:
+        call(count)
+    assert str(info.value) == f"{name} must be an integer, got {count!r}"
+
+
+@pytest.mark.parametrize("seed", [0.5, 1.0, True, False, -1, "0", None])
+def test_generator_seeds_must_be_nonnegative_integers(seed):
+    scenario = synth.gen_sine_anomaly_scenario(3, 1, 0, 20)[0]
+    for call in (lambda: synth.gen_param_grid("ggrid", seed, 20),
+                 lambda: synth.gen_noisy_sine(2, seed, 20),
+                 lambda: synth.gen_sine_anomaly_scenario(2, 1, seed, 20),
+                 lambda: synth.gen_gaussian_classes(seed, 2, 1, 20),
+                 lambda: synth.split_scenario(scenario, seed)):
+        with pytest.raises(ConfigError) as info:
+            call()
+        assert str(info.value) == f"seed must be a nonnegative integer, got {seed!r}"
+
+
+def test_numpy_integer_counts_and_seeds_keep_their_bits():
+    ds, _, params = synth.gen_noisy_sine(3, 4, 50)
+    got, _, got_params = synth.gen_noisy_sine(np.int32(3), np.uint64(4), np.int16(50))
+    assert got_params == params
+    for g, h in zip(ds.groups, got.groups):
+        assert g.id == h.id and np.array_equal(g.points, h.points)
+
+
 def test_grid_rejects_unknown_family():
     with pytest.raises(ConfigError):
         synth.gen_param_grid("cauchy", seed=0)

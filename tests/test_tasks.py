@@ -377,6 +377,52 @@ def test_tasks_take_numpy_integer_counts():
     assert tasks.knn_classify(w, ["a", "b", "b"], np.int32(1)) == ["b", "a"]
 
 
+@pytest.mark.parametrize("count", [2.5, 3.0, np.float64(2.0), True, False, "2", None])
+def test_task_counts_must_be_integers(count):
+    # a fractional count raised a bare TypeError and a bool ran as 0 or 1
+    w = _block_matrix([3, 3], near=0.1, far=1.0, jitter_seed=2)
+    labels = ["a"] * 3 + ["b"] * 3
+    calls = [("target dimension", "[1, 5]", lambda: tasks.mds_embed(w, count)),
+             ("cluster count", "[2, 6]", lambda: tasks.spectral_cluster(w, count, 0)),
+             ("fold count", "[2, 6]",
+              lambda: tasks.cross_validate_classify(w, labels, 1, count, 0))]
+    for what, bounds, call in calls:
+        with pytest.raises(ConfigError) as info:
+            call()
+        assert str(info.value) == f"{what} must be an integer in {bounds}, got {count!r}"
+
+
+@pytest.mark.parametrize("seed", [0.5, 1.0, True, False, -1, "0", None])
+def test_task_seeds_must_be_nonnegative_integers(seed):
+    w = _block_matrix([3, 3], near=0.1, far=1.0, jitter_seed=2)
+    for call in (lambda: tasks.spectral_cluster(w, 2, seed),
+                 lambda: tasks.cross_validate_classify(w, ["a"] * 3 + ["b"] * 3, 1, 2, seed)):
+        with pytest.raises(ConfigError) as info:
+            call()
+        assert str(info.value) == f"seed must be a nonnegative integer, got {seed!r}"
+
+
+def test_out_of_range_task_counts_keep_their_messages():
+    w = _block_matrix([3, 3], near=0.1, far=1.0, jitter_seed=2)
+    with pytest.raises(ConfigError, match=r"^target dimension must lie in \[1, 5\], got 6$"):
+        tasks.mds_embed(w, 6)
+    with pytest.raises(ConfigError, match=r"^cluster count must lie in \[2, 6\], got 1$"):
+        tasks.spectral_cluster(w, np.int64(1), 0)
+    with pytest.raises(ConfigError, match=r"^fold count must lie in \[2, 6\], got 7$"):
+        tasks.cross_validate_classify(w, ["a"] * 6, 1, 7, 0)
+
+
+def test_numpy_integer_task_counts_and_seeds_keep_their_bits():
+    w = _block_matrix([4, 4], near=0.2, far=1.0, jitter_seed=3)
+    labels = ["a"] * 4 + ["b"] * 4
+    emb = tasks.mds_embed(w, 2)
+    assert np.array_equal(tasks.mds_embed(w, np.int8(2)).coords, emb.coords)
+    want = tasks.spectral_cluster(w, 2, 5)
+    assert tasks.spectral_cluster(w, np.int32(2), np.uint64(5)) == want
+    want = tasks.cross_validate_classify(w, labels, 1, 3, 7)
+    assert tasks.cross_validate_classify(w, labels, 1, np.int64(3), np.int16(7)) == want
+
+
 def test_auc_hand_cases():
     assert tasks.auc([0.1, 0.2, 0.9, 0.8], [0, 0, 1, 1]) == 1.0
     assert tasks.auc([0.9, 0.8, 0.1, 0.2], [0, 0, 1, 1]) == 0.0
